@@ -20,7 +20,14 @@ import hashlib
 import json
 from typing import Any, Dict
 
-__all__ = ["canonical_digest", "fig8d_point_payload", "chaos_payload"]
+__all__ = ["canonical_digest", "fig8d_point_payload", "chaos_payload",
+           "MATRIX_SYSTEMS", "MATRIX_WORKLOADS", "matrix_workload",
+           "matrix_payload"]
+
+# The system x workload grid of tests/test_workload_system_matrix.py,
+# pinned at that file's tiny scale (tests/test_matrix_digests.py).
+MATRIX_SYSTEMS = ("xenic", "drtmh", "drtmh_nc", "fasst", "drtmr")
+MATRIX_WORKLOADS = ("smallbank", "retwis", "tpcc_no")
 
 
 def canonical_digest(payload: Any) -> str:
@@ -70,3 +77,42 @@ def chaos_payload(obs: bool = False) -> Dict[str, Any]:
         "final_values": {str(k): v for k, v in
                          sorted(result.final_values.items())},
     }
+
+
+def matrix_workload(name: str):
+    """The tiny-scale workload of the integration matrix, by name
+    (``smallbank``, ``retwis``, ``tpcc_no`` or ``tpcc``)."""
+    from ..workloads import Retwis, Smallbank, TpccFull, TpccNewOrder
+
+    if name == "tpcc_no":
+        return TpccNewOrder(3, warehouses_per_server=2,
+                            stock_per_warehouse=150,
+                            customers_per_warehouse=10)
+    if name == "tpcc":
+        wl = TpccFull(3, warehouses_per_server=2, stock_per_warehouse=150,
+                      customers_per_warehouse=10)
+        wl.counted_label = "new_order"
+        return wl
+    if name == "retwis":
+        return Retwis(3, keys_per_server=1200)
+    if name == "smallbank":
+        return Smallbank(3, accounts_per_server=800, hot_keys_fraction=0.25)
+    raise ValueError("unknown matrix workload %r" % (name,))
+
+
+def matrix_payload(system: str, workload: str,
+                   obs: bool = False) -> Dict[str, Any]:
+    """Simulated metrics of one integration-matrix cell: ``system`` on
+    ``workload`` at the matrix's tiny scale (3 nodes, 3 contexts,
+    60+200 us).  Covers every baseline's RDMA verb paths as well as the
+    Xenic commit path, so these digests gate ``hw.rdma``, ``sim.link``
+    and ``core.protocol`` across the whole grid."""
+    from .runner import Bench, to_jsonable
+
+    bench = Bench(system, matrix_workload(workload), n_nodes=3, obs=obs)
+    result = bench.measure(3, warmup_us=60, window_us=200)
+    payload = to_jsonable(result)
+    payload["sim_now_us"] = bench.sim.now
+    payload["total_commits"] = bench._total_commits()
+    payload["total_aborts"] = bench._total_aborts()
+    return payload
