@@ -87,6 +87,7 @@ from .bench import (
 from .obs import (attribute_bench, diff_metrics, format_metrics_diff,
                   print_metrics_summary, write_chrome_trace,
                   write_metrics_json)
+from .sim.faults import FaultSpec
 
 # The trace/metrics subcommands default to a light fault plan so the
 # exported timeline includes fault instant events; --faults none disables.
@@ -143,8 +144,27 @@ def _add_jobs_arg(p: argparse.ArgumentParser) -> None:
                         "processes (results are identical to --jobs 1)")
 
 
+# --faults values that mean "inject nothing".
+NO_FAULTS = ("none", "off", "")
+
+
+def fault_spec_arg(text: str) -> str:
+    """argparse ``type`` of every ``--faults`` option: check the spec
+    parses, so a malformed one is a usage error (exit 2, naming the bad
+    field) before any run starts.  Returns the text unchanged."""
+    if text.strip().lower() in NO_FAULTS:
+        return text
+    try:
+        FaultSpec.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            "bad fault spec %r: %s" % (text, exc)) from None
+    return text
+
+
 def _add_fault_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--faults", default=None, metavar="SPEC",
+                   type=fault_spec_arg,
                    help="fault spec, e.g. 'drop=0.02,dup=0.01,delay=0.05:8' "
                         "(see docs/FAULTS.md)")
     p.add_argument("--fault-seed", type=int, default=1234,
@@ -176,6 +196,7 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sample-interval", type=float, default=20.0,
                    help="gauge sampling interval, simulated µs")
     p.add_argument("--faults", default=DEFAULT_TRACE_FAULTS, metavar="SPEC",
+                   type=fault_spec_arg,
                    help="fault spec ('none' to disable; default: %(default)s"
                         " so the timeline shows fault instants)")
     p.add_argument("--fault-seed", type=int, default=1234,
@@ -214,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="randomized fault schedules + invariant checks (docs/FAULTS.md)")
     chaos.add_argument("--faults", default=DEFAULT_CHAOS_FAULTS,
-                       metavar="SPEC", help="fault spec to inject")
+                       metavar="SPEC", type=fault_spec_arg,
+                       help="fault spec to inject ('none' for no faults)")
     chaos.add_argument("--seeds", type=int, default=5,
                        help="number of consecutive seeds to run")
     chaos.add_argument("--seed", type=int, default=1,
@@ -328,11 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--update", action="store_true",
                       help="append this run to the trajectory file")
     perf.add_argument("--label", default="", help="label for --update")
-    perf.add_argument("--ab-fusion", action="store_true",
-                      help="run the bench set once per REPRO_FUSION leg "
-                           "(off, on) and print the event-count ratio "
-                           "table (simulated results are byte-identical "
-                           "between legs; only scheduler work differs)")
     perf.add_argument("--ab-queues", action="store_true",
                       help="run each bench once per event-queue "
                            "implementation (REPRO_QUEUE=heap|calendar) "
@@ -344,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "are byte-identical between legs; requires "
                            "the repro.sim._ckern extension)")
     perf.add_argument("--ab-out", default=None, metavar="FILE",
-                      help="with --ab-queues/--ab-fusion/--ab-compiled: "
+                      help="with --ab-queues/--ab-compiled: "
                            "also write the raw A/B results as JSON "
                            "(CI artifact)")
     perf.add_argument("--profile", action="store_true",
@@ -362,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_observed_bench(args) -> Bench:
     """Shared body of the trace/metrics subcommands: one observed run."""
-    if args.faults and args.faults.lower() not in ("none", "off", ""):
+    if args.faults and args.faults.lower() not in NO_FAULTS:
         set_default_faults(args.faults, args.fault_seed)
     else:
         set_default_faults(None)
@@ -427,7 +444,7 @@ def run_attrib_command(args) -> int:
 
 
 def run_slo_command(args) -> int:
-    if args.faults and args.faults.lower() not in ("none", "off", ""):
+    if args.faults and args.faults.lower() not in NO_FAULTS:
         set_default_faults(args.faults, args.fault_seed)
     try:
         loads = tuple(float(x) for x in args.loads.split(",") if x.strip())
@@ -489,7 +506,9 @@ def run_chaos_command(args) -> int:
     base, ext = (os.path.splitext(args.trace_out) if args.trace_out
                  else ("", ""))
     seed_kwargs = [
-        dict(system=args.system, seed=seed, faults=args.faults,
+        dict(system=args.system, seed=seed,
+             faults="" if args.faults.strip().lower() in NO_FAULTS
+             else args.faults,
              n_txns=args.txns, n_nodes=args.nodes, obs=obs)
         for seed in range(args.seed, args.seed + args.seeds)
     ]
@@ -515,9 +534,8 @@ def run_chaos_command(args) -> int:
 def run_perf_command(args) -> int:
     from .bench.perf import (BENCH_FILE, append_entry, baseline_entry,
                              compare_entries, format_ab, format_compiled_ab,
-                             format_fusion_ab, format_results,
-                             measure_scaling, run_compiled_ab, run_perf,
-                             run_fusion_ab, run_queue_ab)
+                             format_results, measure_scaling,
+                             run_compiled_ab, run_perf, run_queue_ab)
 
     quick = not args.full
     repeats = 1 if args.quick else args.repeats
@@ -530,18 +548,6 @@ def run_perf_command(args) -> int:
             print("error: %s" % exc)
             return 2
         print(format_compiled_ab(ab))
-        if args.ab_out:
-            import json
-
-            with open(args.ab_out, "w") as fh:
-                json.dump(ab, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print("wrote %s" % args.ab_out)
-        return 0
-    if args.ab_fusion:
-        ab = run_fusion_ab(quick=quick, repeats=repeats,
-                           benches=args.bench)
-        print(format_fusion_ab(ab))
         if args.ab_out:
             import json
 

@@ -45,17 +45,15 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..sim.compiled import compiled_available, selected_compiled
 from ..sim.core import AnyOf, Simulator, Timeout
 from ..sim.equeue import QUEUE_KINDS, selected_queue_kind
-from ..sim.fusion import selected_fusion
 from ..sim.link import SerialLink
 from ..sim.resources import Resource
 
-__all__ = ["run_perf", "run_queue_ab", "run_fusion_ab", "run_compiled_ab",
+__all__ = ["run_perf", "run_queue_ab", "run_compiled_ab",
            "compare_entries",
            "load_trajectory", "append_entry", "baseline_entry",
-           "format_results", "format_ab", "format_fusion_ab",
-           "format_compiled_ab",
+           "format_results", "format_ab", "format_compiled_ab",
            "measure_scaling", "BENCH_FILE", "SCHEMA", "AB_BENCHES",
-           "FUSION_AB_BENCHES", "COMPILED_AB_BENCHES"]
+           "COMPILED_AB_BENCHES"]
 
 BENCH_FILE = "BENCH_simperf.json"
 SCHEMA = 1
@@ -267,8 +265,8 @@ def _bench_nodes64(quick: bool) -> Tuple[float, int, int]:
     """A 64-node Smallbank point: cluster construction, bulk load, and a
     short measurement window at scale.  Exists to keep construction and
     loading O(n_nodes) honest (a quadratic term that is invisible at 3
-    nodes dominates here) and to exercise the fused wire/NIC/DMA paths
-    across a wide fabric."""
+    nodes dominates here) and to exercise the wire/NIC/DMA paths across
+    a wide fabric."""
     from ..workloads import Smallbank
     from .runner import Bench
 
@@ -342,10 +340,6 @@ _END_TO_END: Dict[str, Callable[[bool], Tuple[float, int, int]]] = {
 AB_BENCHES = ["timeout_churn", "anyof_cancel", "queue_churn",
               "link_stream", "fig8d_point"]
 
-# Default bench set for the fusion A/B: the link-layer micro bench plus
-# the end-to-end points where fused chains dominate the event count.
-FUSION_AB_BENCHES = ["link_stream", "fig8d_point", "nodes64"]
-
 # Default bench set for the compiled-core A/B: the engine-bound micro
 # benches (where the C fast paths dominate wall time) plus one
 # end-to-end point (where Amdahl dilutes them — see
@@ -412,31 +406,6 @@ def run_queue_ab(quick: bool = True, repeats: int = 3,
     return out
 
 
-def run_fusion_ab(quick: bool = True, repeats: int = 3,
-                  benches: Optional[List[str]] = None,
-                  ) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Run the same benches once per delay-fusion leg (``off`` then
-    ``on``), returning ``{leg: results}``.  Selection goes through
-    ``REPRO_FUSION`` — components capture the flag at construction, so
-    each bench run builds fresh models on the requested leg — and the
-    caller's value is restored on exit.  Simulated results are
-    byte-identical between legs (pinned by tests/test_fusion_ab.py);
-    what differs is the scheduler work needed to produce them."""
-    saved = os.environ.get("REPRO_FUSION")
-    out: Dict[str, Dict[str, Dict[str, float]]] = {}
-    try:
-        for kind in ("off", "on"):
-            os.environ["REPRO_FUSION"] = kind
-            out[kind] = run_perf(quick=quick, repeats=repeats,
-                                 benches=benches or FUSION_AB_BENCHES)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_FUSION", None)
-        else:
-            os.environ["REPRO_FUSION"] = saved
-    return out
-
-
 def run_compiled_ab(quick: bool = True, repeats: int = 3,
                     benches: Optional[List[str]] = None,
                     ) -> Dict[str, Dict[str, Dict[str, float]]]:
@@ -469,30 +438,6 @@ def run_compiled_ab(quick: bool = True, repeats: int = 3,
         else:
             os.environ["REPRO_COMPILED"] = saved
     return out
-
-
-def format_fusion_ab(ab: Dict[str, Dict[str, Dict[str, float]]]) -> str:
-    """Per-bench off-vs-on table.  The headline column is the *event*
-    ratio (fusion removes scheduler entries outright, so events/second —
-    the queue-A/B metric — would understate or even invert the win);
-    ev/txn columns appear for the end-to-end benches."""
-    off, on = ab.get("off", {}), ab.get("on", {})
-    names = [n for n in off if n in on]
-    lines = ["%-16s %12s %12s %9s %9s %9s %9s"
-             % ("bench", "off ev", "on ev", "ev ratio",
-                "wall", "off e/t", "on e/t")]
-    for name in names:
-        o, n = off[name], on[name]
-        ev_ratio = o["events"] / n["events"] if n["events"] else 0.0
-        wall_ratio = o["wall_s"] / n["wall_s"] if n["wall_s"] else 0.0
-        per_txn = (("%9.1f %9.1f" % (o["events_per_txn"],
-                                     n["events_per_txn"]))
-                   if "events_per_txn" in o and "events_per_txn" in n
-                   else "%9s %9s" % ("-", "-"))
-        lines.append("%-16s %12d %12d %8.2fx %8.2fx %s"
-                     % (name, o["events"], n["events"], ev_ratio,
-                        wall_ratio, per_txn))
-    return "\n".join(lines)
 
 
 def format_compiled_ab(ab: Dict[str, Dict[str, Dict[str, float]]]) -> str:
@@ -607,7 +552,6 @@ def append_entry(results: Dict[str, Dict[str, float]], quick: bool,
         "python": platform.python_version(),
         "quick": bool(quick),
         "queue": selected_queue_kind(),
-        "fusion": selected_fusion(),
         "compiled": selected_compiled(),
         "compiled_available": compiled_available(),
         "results": results,

@@ -19,8 +19,7 @@ from typing import Any, Dict, List
 
 from ..hw.dma import DmaOp
 from ..hw.nic import SmartNic
-from ..sim.core import Event, Simulator, Timeout
-from ..sim.fusion import fusion_enabled
+from ..sim.core import Event, Simulator
 from .config import XenicConfig
 
 __all__ = ["NicRuntime", "PendingTable"]
@@ -121,10 +120,6 @@ class NicRuntime:
             if config.ethernet_aggregation
             else MSG_HANDLE_WALL_US
         )
-        # Delay fusion (REPRO_FUSION): the burst flusher self-rearms via
-        # a callback Timeout instead of re-spawning a Process per burst.
-        self._fused = fusion_enabled()
-        self._burst_cb_bound = self._burst_cb
 
     # -- compute ------------------------------------------------------------
 
@@ -180,7 +175,8 @@ class NicRuntime:
         if len(vec) >= self.nic.dma.params.max_vector:
             self._flush(vec)
         elif not self._flusher_running:
-            self._arm_flusher()
+            self._flusher_running = True
+            self.sim.spawn(self._burst_flusher(), name="dma-flusher")
         return op.done
 
     def dma_read(self, nbytes: int) -> Event:
@@ -207,16 +203,9 @@ class NicRuntime:
         if self._log_bytes >= 8192:
             self._flush_log()
         elif not self._flusher_running:
-            self._arm_flusher()
-        return done
-
-    def _arm_flusher(self) -> None:
-        self._flusher_running = True
-        if self._fused:
-            Timeout(self.sim, BURST_INTERVAL_US).add_callback(
-                self._burst_cb_bound)
-        else:
+            self._flusher_running = True
             self.sim.spawn(self._burst_flusher(), name="dma-flusher")
+        return done
 
     def _flush_log(self) -> None:
         if not self._log_waiters:
@@ -252,18 +241,6 @@ class NicRuntime:
             self._flush(self._write_vec)
             self._flush_log()
         self._flusher_running = False
-
-    def _burst_cb(self, _ev: Event) -> None:
-        """Fused burst flusher: one callback Timeout per burst boundary
-        instead of a respawned Process (spawn + start event) per burst."""
-        self._flush(self._read_vec)
-        self._flush(self._write_vec)
-        self._flush_log()
-        if self._read_vec or self._write_vec or self._log_waiters:
-            Timeout(self.sim, BURST_INTERVAL_US).add_callback(
-                self._burst_cb_bound)
-        else:
-            self._flusher_running = False
 
     def _blocking_spin(self, op: DmaOp):
         """A NIC core busy-waits on the DMA completion (non-async mode)."""

@@ -20,7 +20,6 @@ from ..hw.network import Fabric
 from ..hw.nic import SmartNic
 from ..hw.pcie import PcieChannel
 from ..sim.core import Simulator
-from ..sim.fusion import fusion_enabled
 from ..sim.resources import Semaphore
 from ..store.log import HostLog, LogRecord
 from ..store.nic_index import NicIndex
@@ -211,60 +210,18 @@ class XenicNode:
     def worker_loop(self):
         """One host Robinhood-worker thread: poll the log, apply write
         sets to the replica tables off the critical path (§4.2 step 7).
-        The cluster spawns ``host_worker_threads`` of these per node.
-
-        Delay fusion (``REPRO_FUSION``): an uncontended batch charges all
-        its per-record apply costs up front and sleeps to one fused
-        deadline instead of one timeout per record.  Poll instants and
-        batch contents are unchanged — the deadline is the left-associated
-        sum of the stepwise service times and the core accounting
-        replicates the stepwise float operations term by term (including
-        the busy-area summation points, via ``note_split``) — only the
-        table applies and log acks shift from intermediate instants to
-        the batch end.  Those are off-critical-path by design: reads
-        overlay ``pending_local`` until the ack (§4.2 step 7), replica
-        application is version-idempotent, and the NIC cache pins
-        committed writes until ``log_acked``.  Falls back to the stepwise
-        loop under an observer, a fault injector, or core contention."""
+        The cluster spawns ``host_worker_threads`` of these per node."""
         apply_us = self.config.worker_apply_us
-        cores = self.worker_cores
-        run_wall = cores.run_wall
+        run_wall = self.worker_cores.run_wall
         apply_record = self._apply_record
         log = self.log
         signal_down = self.log_signal.down
-        sim = self.sim
-        pool = cores.pool
-        slowdown = cores.slowdown
-        fused = fusion_enabled()
         while True:
             yield signal_down()
             while log.pending:
                 batch = log.poll(max_records=4)
                 if not batch:
                     break
-                if (fused and len(batch) > 1 and cores.obs_sink is None
-                        and (self.protocol is None
-                             or self.protocol.runtime.injector is None)
-                        and pool.try_acquire()):
-                    end = sim._now
-                    try:
-                        last = len(batch) - 1
-                        for i, record in enumerate(batch):
-                            cost = apply_us * max(1, len(record.writes))
-                            service = (cost / slowdown) * slowdown
-                            cores.jobs_executed += 1
-                            cores.busy_us += service
-                            end = end + service
-                            if i != last:
-                                pool.note_split(end)
-                        if end > sim._now:
-                            yield sim.call_at(end)
-                    finally:
-                        pool.release()
-                    for record in batch:
-                        apply_record(record)
-                        log.ack(record)
-                    continue
                 for record in batch:
                     cost = apply_us * max(1, len(record.writes))
                     yield from run_wall(cost)

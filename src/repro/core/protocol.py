@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..hw.network import NetMessage
 from ..sim.core import Timeout
-from ..sim.fusion import fusion_enabled
 from ..sim.stats import Counter
 from ..store.log import LogRecord, record_size_bytes
 from .messages import (
@@ -87,14 +86,6 @@ class XenicProtocol:
         # served request on the hot path
         self._handlers = {kind: handler.__get__(self)
                           for kind, handler in self._HANDLERS.items()}
-        # Delay fusion (REPRO_FUSION, repro.sim.fusion): captured at
-        # construction like the queue kind.  When on, inbound dispatch
-        # charges the leading NIC-core cost as a single callback Timeout
-        # and fan-out generators start immediately (sim.start) instead of
-        # spawning a start event; every fused site falls back to the
-        # stepwise path under observer/injector/contention.
-        self._fused = fusion_enabled()
-        self._launch = self.sim.start if self._fused else self.sim.spawn
         node.nic.set_handler(self._on_wire)
         node.pcie.set_handlers(self._on_pcie_host, self._on_pcie_nic)
         node.protocol = self
@@ -210,15 +201,10 @@ class XenicProtocol:
     def _nic_local_commit(self, txn: Transaction):
         """Coordinator-NIC side of a local write transaction: lock,
         validate against the authoritative NIC versions, replicate, commit."""
-        yield from self.runtime.handle_message_cost(len(txn.spec.all_keys()),
-                                                    txn.txn_id)
-        yield from self._nic_local_commit_rest(txn)
-
-    def _nic_local_commit_rest(self, txn: Transaction):
-        """Post-charge half of the local-commit path (fused dispatch
-        enters here after its single combined core charge)."""
         index = self.node.index
         shard = self.node.node_id
+        yield from self.runtime.handle_message_cost(len(txn.spec.all_keys()),
+                                                    txn.txn_id)
         locked: List[int] = []
         ok = True
         for k in txn.write_values:
@@ -263,13 +249,8 @@ class XenicProtocol:
     # ------------------------------------------------------------------
 
     def _nic_coordinate(self, txn: Transaction):
-        yield from self.runtime.nic_compute(NIC_ADMIT_US, txn.txn_id)
-        yield from self._nic_coordinate_rest(txn)
-
-    def _nic_coordinate_rest(self, txn: Transaction):
-        """Post-admission half of coordination (fused dispatch enters
-        here after charging NIC_ADMIT_US as one callback event)."""
         spec = txn.spec
+        yield from self.runtime.nic_compute(NIC_ADMIT_US, txn.txn_id)
         by_shard = self._group_by_shard(spec)
         if self._multihop_applicable(txn, by_shard):
             yield from self._multihop(txn, by_shard)
@@ -426,7 +407,7 @@ class XenicProtocol:
                 # in the ablation baseline, local locks move to wave 2 too
                 w1_wkeys = wkeys if smart else []
                 evs.append(
-                    self._launch(
+                    self.sim.spawn(
                         self._execute_core(shard, txn.txn_id, rkeys,
                                            w1_wkeys, inline),
                         name="exec-local",
@@ -465,7 +446,7 @@ class XenicProtocol:
                 primary = primary_of(shard)
                 for k in wkeys:
                     if primary == own:
-                        lock_evs.append(self._launch(
+                        lock_evs.append(self.sim.spawn(
                             self._execute_core(shard, txn.txn_id, [], [k]),
                             name="lock-local"))
                     else:
@@ -545,7 +526,7 @@ class XenicProtocol:
             primary = self.cluster.primary_node_id(shard)
             if primary == self.node.node_id:
                 evs.append(
-                    self._launch(
+                    self.sim.spawn(
                         self._validate_core(shard, txn.txn_id, versions),
                         name="validate-local",
                     )
@@ -617,7 +598,7 @@ class XenicProtocol:
         for shard, writes in writes_by_shard.items():
             versions = self._write_versions(txn, writes)
             evs.append(
-                self._launch(
+                self.sim.spawn(
                     self._replicate_shard(txn, shard, writes, versions),
                     name="log-shard",
                 )
@@ -644,7 +625,7 @@ class XenicProtocol:
                     value_bytes=txn.spec.write_bytes,
                 )
                 evs.append(
-                    self._launch(self._log_core(req), name="log-local")
+                    self.sim.spawn(self._log_core(req), name="log-local")
                 )
             else:
                 req = take_request(
@@ -693,7 +674,7 @@ class XenicProtocol:
             primary = self.cluster.primary_node_id(shard)
             if primary == own:
                 evs.append(
-                    self._launch(
+                    self.sim.spawn(
                         self._commit_local(txn, shard, writes),
                         name="commit-local",
                     )
@@ -817,7 +798,7 @@ class XenicProtocol:
                                                             txn.txn_id)
             else:
                 fetched = yield self.sim.all_of([
-                    self._launch(self._fetch_value(local, k, txn.txn_id),
+                    self.sim.spawn(self._fetch_value(local, k, txn.txn_id),
                                    name="fetch")
                     for k in local_reads
                 ])
@@ -908,14 +889,9 @@ class XenicProtocol:
         Write keys are locked; read-only keys are fetched optimistically
         and re-validated after the fetches complete (FaRM-style: lock,
         read, validate, then log), so reads never block other readers."""
-        keys = dict.fromkeys(req.read_keys + req.write_keys)
-        yield from self.runtime.handle_message_cost(len(keys), req.txn_id)
-        resp = yield from self._exec_ship_rest(req)
-        return resp
-
-    def _exec_ship_rest(self, req: Request):
-        """Post-charge half of EXEC_SHIP."""
         index = self.node.index_for(req.shard)
+        keys = list(dict.fromkeys(req.read_keys + req.write_keys))
+        yield from self.runtime.handle_message_cost(len(keys), req.txn_id)
         locked: List[int] = []
         for k in req.write_keys:
             if not index.try_lock(k, req.txn_id):
@@ -932,7 +908,7 @@ class XenicProtocol:
                                                                req.txn_id)
             else:
                 fetched = yield self.sim.all_of([
-                    self._launch(self._fetch_value(req.shard, k,
+                    self.sim.spawn(self._fetch_value(req.shard, k,
                                                      req.txn_id),
                                    name="fetch")
                     for k in req.read_keys
@@ -987,7 +963,7 @@ class XenicProtocol:
                                        reply_to=req.reply_to,
                                        value_bytes=spec.write_bytes)
                 if backup == self.node.node_id:
-                    self._launch(self._log_core_redirect(log_req),
+                    self.sim.spawn(self._log_core_redirect(log_req),
                                    name="mh-log-local")
                 else:
                     self._send_oneway(backup, log_req)
@@ -1029,19 +1005,11 @@ class XenicProtocol:
                       validate_inline: bool = False):
         """EXECUTE at the primary NIC: lock write keys, fetch read values
         (NIC cache or DMA), return values + versions."""
+        index = self.node.index_for(shard)
         n_keys = len(read_keys) + len(write_keys)
         yield from self.runtime.nic_compute(
             self.config.nic_per_key_us * max(1, n_keys), txn_id
         )
-        resp = yield from self._execute_rest(shard, txn_id, read_keys,
-                                             write_keys, validate_inline)
-        return resp
-
-    def _execute_rest(self, shard: int, txn_id: int, read_keys, write_keys,
-                      validate_inline: bool = False):
-        """Post-charge half of EXECUTE (the fused dispatch enters here
-        after its single combined core charge)."""
-        index = self.node.index_for(shard)
         locked: List[int] = []
         for k in write_keys:
             if not index.try_lock(k, txn_id):
@@ -1061,7 +1029,7 @@ class XenicProtocol:
                                                                txn_id)
             else:
                 fetched = yield self.sim.all_of([
-                    self._launch(self._fetch_value(shard, k, txn_id),
+                    self.sim.spawn(self._fetch_value(shard, k, txn_id),
                                    name="fetch")
                     for k in read_keys
                 ])
@@ -1118,16 +1086,10 @@ class XenicProtocol:
 
     def _validate_core(self, shard: int, txn_id: int,
                        versions: Dict[int, int]):
+        index = self.node.index_for(shard)
         yield from self.runtime.nic_compute(
             self.config.nic_per_key_us * max(1, len(versions)), txn_id
         )
-        return self._validate_sync(shard, txn_id, versions)
-
-    def _validate_sync(self, shard: int, txn_id: int,
-                       versions: Dict[int, int]) -> Response:
-        """Post-charge half of VALIDATE — fully synchronous, so the fused
-        dispatch runs it straight from its charge callback."""
-        index = self.node.index_for(shard)
         for k, ver in versions.items():
             if index.is_locked(k, txn_id) or index.read_version(k) != ver:
                 self.stats.inc("validate_conflicts")
@@ -1205,15 +1167,11 @@ class XenicProtocol:
         return take_response(COMMIT, req.txn_id, req.shard, True)
 
     def _unlock_core(self, req: Request):
+        index = self.node.index_for(req.shard)
         yield from self.runtime.nic_compute(
             self.config.nic_per_key_us * max(1, len(req.write_keys)),
             req.txn_id,
         )
-        return self._unlock_sync(req)
-
-    def _unlock_sync(self, req: Request) -> Response:
-        """Post-charge half of UNLOCK — fully synchronous."""
-        index = self.node.index_for(req.shard)
         for k in req.write_keys:
             meta = index._meta.get(k)
             if meta is not None and meta.lock_owner == req.txn_id:
@@ -1248,11 +1206,7 @@ class XenicProtocol:
 
     def _send_oneway(self, dst: int, req: Request) -> None:
         if dst == self.node.node_id:
-            if self._fused:
-                self._oneway_fused(req)
-            else:
-                self.sim.spawn(self._handle_oneway_local(req),
-                               name="oneway-local")
+            self.sim.spawn(self._handle_oneway_local(req), name="oneway-local")
             return
         msg = NetMessage(
             self.node.node_id, dst, req.kind,
@@ -1279,20 +1233,13 @@ class XenicProtocol:
         tag = msg.payload[0]
         if tag == "req":
             _tag, rid, req = msg.payload
-            if self._fused:
-                self._serve_fused(msg.src, rid, req)
-            else:
-                self.sim.spawn(self._serve(msg.src, rid, req), name="serve")
+            self.sim.spawn(self._serve(msg.src, rid, req), name="serve")
         elif tag == "resp":
             _tag, rid, resp = msg.payload
             self._charge_rx_then(self._resolve_response, rid, resp,
                                  self._receive_response)
         elif tag == "oneway":
-            if self._fused:
-                self._oneway_fused(msg.payload[1])
-            else:
-                self.sim.spawn(self._dispatch_oneway(msg.payload[1]),
-                               name="oneway")
+            self.sim.spawn(self._dispatch_oneway(msg.payload[1]), name="oneway")
         elif tag == "log_ack":
             _tag, txn_id, resp = msg.payload
             self._charge_rx_then(self._resolve_mh_ack, txn_id, resp,
@@ -1342,9 +1289,6 @@ class XenicProtocol:
         if handler is None:  # pragma: no cover - defensive
             raise RuntimeError("no handler for %r" % req.kind)
         resp = yield from handler(req)
-        self._respond(src, rid, req, resp)
-
-    def _respond(self, src: int, rid, req: Request, resp: Response) -> None:
         msg = NetMessage(
             self.node.node_id, src, "resp",
             response_size(resp, self.cluster.value_size),
@@ -1354,130 +1298,6 @@ class XenicProtocol:
         self.node.nic.send(msg)
         # the request's single consumption point: any duplicate delivery
         # was already dropped by wire id before the payload is read
-        recycle_request(req)
-
-    # -- fused inbound dispatch (REPRO_FUSION, repro.sim.fusion) ------------
-    #
-    # The stepwise path spawns a Process per inbound request and charges
-    # the NIC cores twice (message handling, then the per-key handler
-    # cost).  When no observer, fault injector, or core contention needs
-    # the intermediate timestamps, the fused path merges both charges
-    # into ONE callback Timeout and runs the handler's post-charge half
-    # from the callback — no Process, no start event, and for the fully
-    # synchronous handlers (VALIDATE/UNLOCK) no generator at all.
-
-    def _fused_dispatch(self, c1: float, c2: float, then) -> bool:
-        """Try the fused inbound dispatch: charge one NIC core for the
-        stepwise path's charges ``c1`` (+ ``c2``, when the stepwise path
-        makes a second back-to-back charge) as a single callback event
-        that runs ``then()`` at completion.  Returns False — charging
-        nothing — when the stepwise spawn must be used instead (observer
-        attached, fault injector present, or no core free).
-
-        Timestamps and the core pool's busy-area summation replicate the
-        stepwise float arithmetic exactly (per-charge slowdown
-        round-trips, left-associated end time, ``note_split`` at the
-        stepwise release point) so golden digests stay byte-identical."""
-        runtime = self.runtime
-        cores = self.node.nic.cores
-        if (self.obs is not None or cores.obs_sink is not None
-                or runtime.obs_sink is not None
-                or runtime.injector is not None):
-            return False
-        pool = cores.pool
-        if not pool.try_acquire():
-            return False
-        slowdown = cores.slowdown
-        w1 = (c1 / slowdown) * slowdown
-        cores.jobs_executed += 1
-        cores.busy_us += w1
-        end = self.sim._now + w1
-        if c2 > 0.0:
-            w2 = (c2 / slowdown) * slowdown
-            cores.jobs_executed += 1
-            cores.busy_us += w2
-            pool.note_split(end)
-            end = end + w2
-        self.sim.call_at(end, lambda _e: (pool.release(), then()))
-        return True
-
-    def _serve_fused(self, src: int, rid, req: Request) -> None:
-        """Fused twin of spawning ``_serve``: the leading message +
-        per-key charges collapse to one event; falls back to the spawned
-        stepwise path when _fused_dispatch declines."""
-        per_key = self.config.nic_per_key_us
-        msg_us = self.runtime.msg_handle_us
-        kind = req.kind
-        # (c1, c2) mirror the stepwise handler's charges: EXECUTE /
-        # VALIDATE / UNLOCK charge message handling then per-key work
-        # separately; LOG / COMMIT / EXEC_SHIP fold the keys into one
-        # handle_message_cost call.
-        if kind == EXECUTE:
-            c1 = msg_us
-            c2 = per_key * max(1, len(req.read_keys) + len(req.write_keys))
-        elif kind == VALIDATE:
-            c1 = msg_us
-            c2 = per_key * max(1, len(req.versions))
-        elif kind == UNLOCK:
-            c1 = msg_us
-            c2 = per_key * max(1, len(req.write_keys))
-        elif kind == EXEC_SHIP:
-            c1 = msg_us + len(dict.fromkeys(req.read_keys
-                                            + req.write_keys)) * per_key
-            c2 = 0.0
-        else:  # LOG / COMMIT
-            c1 = msg_us + len(req.write_values) * per_key
-            c2 = 0.0
-        if not self._fused_dispatch(
-                c1, c2, lambda: self._serve_rest(src, rid, req)):
-            self.sim.spawn(self._serve(src, rid, req), name="serve")
-
-    def _serve_rest(self, src: int, rid, req: Request) -> None:
-        """Post-charge half of a fused serve.  VALIDATE and UNLOCK are
-        fully synchronous; the rest still need a generator (DMA, log
-        back-pressure) but start it immediately with no start event."""
-        kind = req.kind
-        if kind == VALIDATE:
-            self._respond(src, rid, req,
-                          self._validate_sync(req.shard, req.txn_id,
-                                              req.versions))
-        elif kind == UNLOCK:
-            self._respond(src, rid, req, self._unlock_sync(req))
-        else:
-            self.sim.start(self._serve_rest_gen(src, rid, req), name="serve")
-
-    def _serve_rest_gen(self, src: int, rid, req: Request):
-        kind = req.kind
-        if kind == EXECUTE:
-            inline = bool(req.versions.pop("inline", None))
-            resp = yield from self._execute_rest(
-                req.shard, req.txn_id, req.read_keys, req.write_keys, inline)
-        elif kind == LOG:
-            resp = yield from self._log_core(req)
-        elif kind == COMMIT:
-            resp = yield from self._commit_core(req)
-        else:  # EXEC_SHIP
-            resp = yield from self._exec_ship_rest(req)
-        self._respond(src, rid, req, resp)
-
-    def _oneway_fused(self, req: Request) -> None:
-        """Fused twin of spawning ``_dispatch_oneway``."""
-        per_key = self.config.nic_per_key_us
-        msg_us = self.runtime.msg_handle_us
-        if req.kind == UNLOCK:
-            ok = self._fused_dispatch(
-                msg_us, per_key * max(1, len(req.write_keys)),
-                lambda: self._oneway_unlock_done(req))
-        else:  # LOG
-            ok = self._fused_dispatch(
-                msg_us + len(req.write_values) * per_key, 0.0,
-                lambda: self.sim.start(self._log_core_redirect(req),
-                                       name="oneway"))
-        if not ok:
-            self.sim.spawn(self._dispatch_oneway(req), name="oneway")
-
-    def _oneway_unlock_done(self, req: Request) -> None:
-        recycle_response(self._unlock_sync(req))
         recycle_request(req)
 
     def _handle_execute_req(self, req: Request):
@@ -1551,21 +1371,9 @@ class XenicProtocol:
     def _on_pcie_nic(self, payload) -> None:
         tag = payload[0]
         if tag == "start":
-            txn = payload[1]
-            if not (self._fused and self._fused_dispatch(
-                    NIC_ADMIT_US, 0.0,
-                    lambda: self.sim.start(self._nic_coordinate_rest(txn),
-                                           name="nic-coord"))):
-                self.sim.spawn(self._nic_coordinate(txn), name="nic-coord")
+            self.sim.spawn(self._nic_coordinate(payload[1]), name="nic-coord")
         elif tag == "local_commit":
-            txn = payload[1]
-            if not (self._fused and self._fused_dispatch(
-                    self.runtime.msg_handle_us
-                    + len(txn.spec.all_keys()) * self.config.nic_per_key_us,
-                    0.0,
-                    lambda: self.sim.start(self._nic_local_commit_rest(txn),
-                                           name="nic-local"))):
-                self.sim.spawn(self._nic_local_commit(txn), name="nic-local")
+            self.sim.spawn(self._nic_local_commit(payload[1]), name="nic-local")
         elif tag == "logic_resp":
             _tag, txn_id, attempt, round_no, result = payload
             self.runtime.pending.resolve(
@@ -1581,10 +1389,8 @@ class XenicProtocol:
                                              (ok, reason)):
                 self.stats.inc("stray_done")
         elif tag == "logic_req":
-            if not (self._fused and self._host_logic_fused(payload[1],
-                                                           payload[2])):
-                self.sim.spawn(self._host_run_logic(payload[1], payload[2]),
-                               name="host-logic")
+            self.sim.spawn(self._host_run_logic(payload[1], payload[2]),
+                           name="host-logic")
         else:  # pragma: no cover - defensive
             raise RuntimeError("unknown pcie->host tag %r" % (tag,))
 
@@ -1592,32 +1398,6 @@ class XenicProtocol:
         t0 = self._t0()
         yield from self.node.host_app_cores.run(txn.spec.logic_cost_us)
         self._attrib("host", t0, txn.txn_id)
-        self._host_logic_done(txn, round_no)
-
-    def _host_logic_fused(self, txn: Transaction, round_no: int) -> bool:
-        """Fused host-logic execution: one callback Timeout charging a
-        host app core for the (known) logic cost, then the synchronous
-        logic + PCIe ship.  Declines when an observer needs the host
-        span or all app cores are busy."""
-        cores = self.node.host_app_cores
-        if (self.obs is not None or cores.obs_sink is not None
-                or self.runtime.injector is not None):
-            return False
-        service = txn.spec.logic_cost_us * cores.slowdown
-        if service <= 0:
-            # stepwise resolves zero-cost logic synchronously inside the
-            # start event; keep that ordering.
-            return False
-        pool = cores.pool
-        if not pool.try_acquire():
-            return False
-        cores.jobs_executed += 1
-        cores.busy_us += service
-        Timeout(self.sim, service).add_callback(
-            lambda _e: (pool.release(), self._host_logic_done(txn, round_no)))
-        return True
-
-    def _host_logic_done(self, txn: Transaction, round_no: int) -> None:
         result = txn.run_logic()
         if isinstance(result, NeedMoreKeys):
             nbytes = 16 + 10 * (len(result.read_keys) + len(result.write_keys))

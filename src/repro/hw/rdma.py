@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..sim.core import Event, Simulator
-from ..sim.fusion import fusion_enabled
 from ..sim.link import SerialLink
 from .cpu import CoreGroup
 from .params import RdmaParams
@@ -106,13 +105,6 @@ class RdmaNic:
         self.retries = 0
         # Verbs issued but not yet completed (gauge source for repro.obs).
         self.inflight = 0
-        # Delay fusion (repro.sim.fusion): merge each transfer with the
-        # pure delay that follows it (wire+propagation, RX+fixed-budget)
-        # into one event via SerialLink.transfer_then.  Every reservation
-        # and the on_target linearization point stay at their stepwise
-        # instants; checked at run time against self.injector so a chaos
-        # harness installing an injector later gets the stepwise chain.
-        self._fused = fusion_enabled()
 
     # -- introspection ----------------------------------------------------
 
@@ -171,29 +163,9 @@ class RdmaNic:
         self.inflight += 1
         # initiator NIC descriptor processing + wire out
         yield self._tx_pipe.transfer(0)
-        prop = self.params.propagation_us
-        if self._fused and self.injector is None:
-            # Fused chain: both wire+propagation pairs become one event
-            # each.  Every link reservation happens at the exact
-            # stepwise instant (wire at tx-done, RX pipe at arrival,
-            # response wire at the post-budget instant) and on_target
-            # still runs at the linearization point.  Do NOT merge the
-            # RX-pipe stage with the fixed budget: that moves the
-            # on_target-carrying event's push earlier, and a same-float
-            # collision with an event pushed in the moved window flips
-            # CAS linearization order (observed: one abort<->commit flip
-            # on a DrTM+R smallbank point).
-            yield self._wire.transfer_then(out_bytes, prop)
-            yield target._rx_pipe.transfer(0)
-            yield self.sim.timeout(self._fixed[verb])
-            result = on_target() if on_target is not None else None
-            yield target._wire.transfer_then(back_bytes, prop)
-            self.inflight -= 1
-            done.succeed(result)
-            return
         yield from self._transient_failures(verb)
         yield self._wire.transfer(out_bytes)
-        yield self.sim.timeout(prop)
+        yield self.sim.timeout(self.params.propagation_us)
         # target NIC descriptor processing (incl. PCIe DMA to host memory)
         yield target._rx_pipe.transfer(0)
         # fixed processing budget reproduces the measured RTT floor
@@ -201,7 +173,7 @@ class RdmaNic:
         result = on_target() if on_target is not None else None
         # response over target's wire
         yield target._wire.transfer(back_bytes)
-        yield self.sim.timeout(prop)
+        yield self.sim.timeout(self.params.propagation_us)
         self.inflight -= 1
         done.succeed(result)
 
@@ -255,29 +227,9 @@ class RdmaNic:
                   on_target=None):
         self.inflight += 1
         yield self._tx_pipe.transfer(0)
-        prop = self.params.propagation_us
-        if self._fused and self.injector is None:
-            # Fused RPC: request wire+propagation and response
-            # wire+propagation merge (two events saved); the RX-pipe
-            # stage and the host-core grant stay stepwise — the core
-            # reservation at RX-done and the fixed-budget start at
-            # handler-done are both contended instants.
-            yield self._wire.transfer_then(
-                req_size + self.params.per_op_wire_bytes, prop)
-            yield target._rx_pipe.transfer(0)
-            yield target.host_cores.execute(
-                target.host_rpc_handle_us + handler_ref_us
-            )
-            result = on_target() if on_target is not None else None
-            yield self.sim.timeout(self._fixed[SEND])
-            yield target._wire.transfer_then(
-                resp_size + self.params.per_op_wire_bytes, prop)
-            self.inflight -= 1
-            done.succeed(result)
-            return
         yield from self._transient_failures(SEND)
         yield self._wire.transfer(req_size + self.params.per_op_wire_bytes)
-        yield self.sim.timeout(prop)
+        yield self.sim.timeout(self.params.propagation_us)
         yield target._rx_pipe.transfer(0)
         # Host CPU polls, handles the buffer, runs the handler, posts reply.
         yield target.host_cores.execute(

@@ -150,10 +150,7 @@ class EventQueue:
 
     def drain_all(self, sim) -> None:
         """Pop and fire every entry; stale entries advance the clock and
-        are skipped, exactly like :meth:`Simulator.step`.  Same-deadline
-        riders (``Simulator._riding_push``) fire right after their host
-        entry, in attach order — stale hosts included, since a rider is
-        a live event in its own right."""
+        are skipped, exactly like :meth:`Simulator.step`."""
         pop = self.pop_min
         while True:
             entry = pop()
@@ -165,15 +162,6 @@ class EventQueue:
                 event._ok = True
                 event._value = entry[3]
                 event._dispatch()
-            riders = event._riders
-            if riders is not None:
-                event._riders = None
-                for rev, rval in riders:
-                    if rev._ok is None:
-                        sim._riders_pending -= 1
-                        rev._ok = True
-                        rev._value = rval
-                        rev._dispatch()
 
     def drain_until(self, sim, until: float) -> None:
         """Like :meth:`drain_all` but leave any entry past ``until``
@@ -189,15 +177,6 @@ class EventQueue:
                 event._ok = True
                 event._value = entry[3]
                 event._dispatch()
-            riders = event._riders
-            if riders is not None:
-                event._riders = None
-                for rev, rval in riders:
-                    if rev._ok is None:
-                        sim._riders_pending -= 1
-                        rev._ok = True
-                        rev._value = rval
-                        rev._dispatch()
 
 
 class HeapEventQueue(EventQueue):
@@ -235,11 +214,7 @@ class HeapEventQueue(EventQueue):
                 and 2 * self._cancelled >= len(heap)):
             # Filter in place: drain loops hold a local alias to the
             # list object, so its identity must survive compaction.
-            # Stale hosts still carrying riders must survive too — their
-            # riders are live events that fire at the host's pop.
-            heap[:] = [entry for entry in heap
-                       if entry[2]._ok is None
-                       or entry[2]._riders is not None]
+            heap[:] = [entry for entry in heap if entry[2]._ok is None]
             heapify(heap)
             self._cancelled = 0
 
@@ -270,15 +245,6 @@ class HeapEventQueue(EventQueue):
                     event._callbacks = None
                     for fn in callbacks:
                         fn(event)
-            riders = event._riders
-            if riders is not None:
-                event._riders = None
-                for rev, rval in riders:
-                    if rev._ok is None:
-                        sim._riders_pending -= 1
-                        rev._ok = True
-                        rev._value = rval
-                        rev._dispatch()
 
     def drain_until(self, sim, until: float) -> None:
         queue = self._heap
@@ -301,15 +267,6 @@ class HeapEventQueue(EventQueue):
                 if callbacks:
                     for fn in callbacks:
                         fn(event)
-            riders = event._riders
-            if riders is not None:
-                event._riders = None
-                for rev, rval in riders:
-                    if rev._ok is None:
-                        sim._riders_pending -= 1
-                        rev._ok = True
-                        rev._value = rval
-                        rev._dispatch()
 
 
 # Calendar tuning knobs (see docs/PERFORMANCE.md, "Scheduler
@@ -542,18 +499,14 @@ class CalendarEventQueue(EventQueue):
 
     def _compact(self) -> None:
         """Drop every already-triggered (cancelled/stale) entry, in
-        place: drain loops alias ``_cur``, so its identity survives.
-        Stale hosts still carrying same-deadline riders are kept — their
-        riders are live events that fire at the host's pop."""
+        place: drain loops alias ``_cur``, so its identity survives."""
         cur = self._cur
-        cur[:] = [e for e in cur
-                  if e[2]._ok is None or e[2]._riders is not None]
+        cur[:] = [e for e in cur if e[2]._ok is None]
         n = len(cur)
         buckets = self._buckets
         for bid in list(buckets):
             b = buckets[bid]
-            b[:] = [e for e in b
-                    if e[2]._ok is None or e[2]._riders is not None]
+            b[:] = [e for e in b if e[2]._ok is None]
             if b:
                 n += len(b)
             else:
@@ -586,15 +539,6 @@ class CalendarEventQueue(EventQueue):
                         event._callbacks = None
                         for fn in callbacks:
                             fn(event)
-                riders = event._riders
-                if riders is not None:
-                    event._riders = None
-                    for rev, rval in riders:
-                        if rev._ok is None:
-                            sim._riders_pending -= 1
-                            rev._ok = True
-                            rev._value = rval
-                            rev._dispatch()
             if not self._advance():
                 return
 
@@ -625,14 +569,5 @@ class CalendarEventQueue(EventQueue):
                         event._callbacks = None
                         for fn in callbacks:
                             fn(event)
-                riders = event._riders
-                if riders is not None:
-                    event._riders = None
-                    for rev, rval in riders:
-                        if rev._ok is None:
-                            sim._riders_pending -= 1
-                            rev._ok = True
-                            rev._value = rval
-                            rev._dispatch()
             if not self._advance():
                 return

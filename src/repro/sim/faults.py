@@ -44,6 +44,16 @@ __all__ = ["FaultSpec", "CrashEvent", "FaultTrace", "FaultEvent", "FaultPlan"]
 _MAX_REPEATS = 16
 
 
+def _number(field: str, text: str, kind=float):
+    """``kind(text)`` for one fault-spec field, with an error naming the
+    field and the bad token instead of a bare conversion failure."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError("fault %r wants a number, got %r"
+                         % (field, text.strip())) from None
+
+
 @dataclass(frozen=True)
 class CrashEvent:
     """A scheduled fail-stop crash (and optional restart)."""
@@ -117,7 +127,8 @@ class FaultSpec:
             drop=0.02,dup=0.01,delay=0.05:8,crash=800@1:2000
 
         Each field is ``name=prob[:magnitude_us]``; ``crash=T@NODE[:DOWN]``
-        may repeat.  Unknown names raise ``ValueError``.
+        may repeat.  Unknown names and non-numeric values raise
+        ``ValueError`` naming the offending field.
         """
         kwargs: Dict[str, Any] = {}
         crashes: List[CrashEvent] = []
@@ -133,17 +144,17 @@ class FaultSpec:
                 crashes.append(cls._parse_crash(value))
                 continue
             if name == "recovery_delay":
-                kwargs["recovery_delay_us"] = float(value)
+                kwargs["recovery_delay_us"] = _number(name, value)
                 continue
             if name not in cls._ALIASES:
                 raise ValueError("unknown fault primitive %r" % name)
             prob_field, mag_field = cls._ALIASES[name]
             if ":" in value:
                 prob, mag = value.split(":", 1)
-                kwargs[prob_field] = float(prob)
-                kwargs[mag_field] = float(mag)
+                kwargs[prob_field] = _number(name, prob)
+                kwargs[mag_field] = _number(name, mag)
             else:
-                kwargs[prob_field] = float(value)
+                kwargs[prob_field] = _number(name, value)
         if crashes:
             kwargs["crashes"] = tuple(crashes)
         return cls(**kwargs)
@@ -155,8 +166,10 @@ class FaultSpec:
         at, rest = value.split("@", 1)
         if ":" in rest:
             node, down = rest.split(":", 1)
-            return CrashEvent(float(at), int(node), float(down))
-        return CrashEvent(float(at), int(rest), None)
+            return CrashEvent(_number("crash", at), _number("crash", node, int),
+                              _number("crash", down))
+        return CrashEvent(_number("crash", at), _number("crash", rest, int),
+                          None)
 
     def with_crash(self, at_us: float, node: int,
                    down_us: Optional[float] = None) -> "FaultSpec":

@@ -1,42 +1,16 @@
-"""Delay-fusion feature flag (``REPRO_FUSION``).
+"""Provenance stub for the retired delay-fusion switch.
 
-Delay fusion collapses stepwise delay chains — a spawned generator
-yielding ``timeout(a) → timeout(b) → timeout(c)`` for what is, absent
-faults and contention, one known-length delay — into a single
-callback-based event (the pattern PR 5 introduced with
-``_charge_rx_then``).  Fused fast paths live in ``repro.core.protocol``,
-``repro.core.nic_runtime``, ``repro.sim.link``, and ``repro.hw.rdma``;
-each one falls back to the stepwise path whenever a fault injector,
-observer annotation point, or resource contention needs the intermediate
-timestamps, so simulated results stay byte-identical either way
-(``tests/test_golden_digest.py`` pins this on both legs).
-
-Selection mirrors ``REPRO_QUEUE`` (:mod:`repro.sim.equeue`): the
-``REPRO_FUSION`` environment variable is read at *model construction*
-time (each component captures the flag in ``__init__``), so flipping the
-variable between runs inside one process works, but flipping it
-mid-simulation does not retroactively change built components.  The
-default is ``on``; ``off`` keeps every chain stepwise and is the A/B
-reference (``perf --ab-fusion``).
+Delay fusion (same-deadline rider merging, lazy core charges, parked
+link drainers and fused RDMA verb chains) was removed: the stepwise
+engine path is the only one (docs/PERFORMANCE.md, "Reverted designs").
+This module exists only so the benchmark's provenance line, which
+records the engine leg of every run, keeps importing
+:func:`selected_fusion`.
 """
 
-from __future__ import annotations
-
-import os
-
-__all__ = ["FUSION_KINDS", "DEFAULT_FUSION", "selected_fusion",
-           "fusion_enabled"]
-
-DEFAULT_FUSION = "on"
-FUSION_KINDS = ("on", "off")
+__all__ = ["selected_fusion"]
 
 
 def selected_fusion() -> str:
-    """The fusion leg a component built right now would use."""
-    kind = os.environ.get("REPRO_FUSION", DEFAULT_FUSION)
-    return kind if kind in FUSION_KINDS else DEFAULT_FUSION
-
-
-def fusion_enabled() -> bool:
-    """True when components built right now should install fused paths."""
-    return selected_fusion() == "on"
+    """The delay-fusion leg of this build: always ``"off"``."""
+    return "off"

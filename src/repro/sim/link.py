@@ -14,7 +14,6 @@ from collections import deque
 from typing import Any, Callable, Deque, Optional, Tuple
 
 from .core import Event, Simulator, Timeout
-from .fusion import fusion_enabled
 from .stats import OnlineStats
 
 __all__ = ["SerialLink", "BatchingLink"]
@@ -73,31 +72,6 @@ class SerialLink:
         return Timeout(self.sim,
                        (self._busy_until - now) + self.propagation_us)
 
-    def transfer_then(self, nbytes: int, extra_us: float) -> Event:
-        """Fused transfer + trailing pure delay: one event firing at
-        delivery time plus ``extra_us``.
-
-        Reservation (``_busy_until``), byte/stall accounting, and the
-        injector draw are identical to :meth:`transfer`; only the wakeup
-        at the delivery instant is elided.  Safe exactly when the caller
-        does nothing at that instant but start the delay — any shared
-        state touched there (a reservation on another link, a core
-        grant) must stay on the stepwise two-event path."""
-        now = self.sim._now
-        start = now if now > self._busy_until else self._busy_until
-        duration = self.overhead_us + nbytes / (self.bandwidth_gbps * 125.0)
-        if self.injector is not None:
-            stall = self.injector.link_stall_us(self)
-            if stall > 0.0:
-                self.stalls += 1
-                duration += stall
-        self._busy_until = start + duration
-        self.bytes_transferred += nbytes
-        self.transfers += 1
-        return Timeout(self.sim,
-                       (self._busy_until - now) + self.propagation_us
-                       + extra_us)
-
     def utilization(self, since: float = 0.0) -> float:
         span = self.sim.now - since
         if span <= 0:
@@ -151,87 +125,13 @@ class BatchingLink:
         self._wake: Optional[Event] = None
         self.packets_sent = 0
         self.payloads_sent = 0
-        # Delay fusion (REPRO_FUSION): when a drain round leaves the
-        # queue empty, the fused drainer parks immediately instead of
-        # sleeping out the wire-clear wait, recording in ``_floor`` the
-        # instant its stepwise idle timeout would have fired.  A send
-        # landing inside the window arms one exact ``call_at`` wake at
-        # the floor; a send at or past the floor wakes the parked
-        # drainer directly, exactly as any parked-state send always
-        # did.  Ordering at the floor instant is preserved through the
-        # rider invariant (repro.sim.core): same-instant entries form
-        # one host plus riders firing in push order, so a wake pushed
-        # when no entry exists at the floor becomes the host — firing
-        # before every later-pushed same-instant event, just as the
-        # stepwise timeout (pushed at round start) would.  When an
-        # entry at the floor already exists at round end, the stepwise
-        # timeout is pushed as-is: it rides that entry for free with
-        # its exact cohort position.  The stepwise leg never moves
-        # ``_floor`` off zero, so its parked sends take the
-        # immediate-wake branch unchanged.
-        self._fused = fusion_enabled()
-        self._floor = 0.0
-        self._armed = False
-        self._arm_cb_bound = self._arm_cb
 
     def send(self, dest: Any, nbytes: int, payload: Any) -> None:
         self._queue.append((dest, nbytes, payload))
         if self._drainer is None or not self._drainer.alive:
             self._drainer = self.sim.spawn(self._drain(), name="%s.drain" % self.name)
         elif self._wake is not None and not self._wake.triggered:
-            if self.sim._now >= self._floor:
-                self._wake.succeed()
-            elif not self._armed:
-                # Send inside a fused wire-clear window: materialize one
-                # wake at the floor instant.  Pushed while no entry
-                # exists there, it hosts that timestamp and fires before
-                # every later-pushed same-instant event — the stepwise
-                # idle timeout's exact position.
-                self._armed = True
-                self.sim.call_at(self._floor, self._arm_cb_bound)
-
-    def _arm_cb(self, _ev: Event) -> None:
-        wake = self._wake
-        self._armed = False
-        if wake is None or wake.triggered or not self._queue:
-            return
-        if self.sim._now >= self._floor:
-            wake.succeed()
-        else:
-            # The park this arm was meant for was already served by a
-            # same-instant send and the drainer re-parked with a later
-            # floor; carry the pending sends forward to it.
-            self._armed = True
-            self.sim.call_at(self._floor, self._arm_cb_bound)
-
-    def _materialize(self, floor: float) -> None:
-        """Called by the scheduler on the first push at a parked floor
-        instant (``Simulator._floors``): claim the timestamp for the
-        wake before the incoming entry lands, so the wake fires ahead of
-        every event scheduled there after the park — the stepwise idle
-        timeout's exact cohort position."""
-        if (self._floor == floor and not self._armed
-                and self._wake is not None and not self._wake.triggered):
-            self._armed = True
-            self.sim.call_at(floor, self._arm_cb_bound)
-
-    def _park_floor(self, floor: float) -> None:
-        """Register a fused park so pushes at ``floor`` materialize the
-        wake first (see ``_materialize``)."""
-        self._floor = floor
-        floors = self.sim._floors
-        lst = floors.get(floor)
-        if lst is None:
-            floors[floor] = [self]
-        else:
-            lst.append(self)
-        if len(floors) >= 4096:
-            # Shed registrations whose park has since been served.
-            self.sim._floors = {
-                w: ls
-                for w, ls in floors.items()
-                if any(ln._floor == w for ln in ls)
-            }
+            self._wake.succeed()
 
     def _drain(self):
         queue = self._queue
@@ -252,26 +152,6 @@ class BatchingLink:
                     )
                     idle = link._busy_until - self.sim.now
                     if idle > 0:
-                        if (self._fused and not queue
-                                and link.injector is None):
-                            floor = self.sim._now + idle
-                            host = self.sim._open.get(floor)
-                            if host is None or host._ok is not None:
-                                # Fused park: skip the idle timeout and
-                                # record where it would have fired; a
-                                # send inside the window arms an exact
-                                # wake there (see ``send``).
-                                self._park_floor(floor)
-                                self._wake = self.sim.event(
-                                    name="%s.wake" % self.name)
-                                yield self._wake
-                                self._wake = None
-                                self._floor = 0.0
-                                continue
-                            # A pending entry at the floor instant
-                            # already exists: the stepwise timeout
-                            # below rides it for free, in its exact
-                            # same-instant cohort position.
                         yield self.sim.timeout(idle)
                     if not queue:
                         self._wake = self.sim.event(name="%s.wake" % self.name)
@@ -304,19 +184,6 @@ class BatchingLink:
                 if self._queue:
                     idle = max(idle, self.batch_window_us)
                 if idle > 0:
-                    if (self._fused and not self._queue
-                            and self.link.injector is None):
-                        floor = self.sim._now + idle
-                        host = self.sim._open.get(floor)
-                        if host is None or host._ok is not None:
-                            # Fused park (see the sporadic path above).
-                            self._park_floor(floor)
-                            self._wake = self.sim.event(
-                                name="%s.wake" % self.name)
-                            yield self._wake
-                            self._wake = None
-                            self._floor = 0.0
-                            continue
                     yield self.sim.timeout(idle)
             else:
                 dest, nbytes, payload = self._queue.popleft()

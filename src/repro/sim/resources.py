@@ -11,7 +11,6 @@ API that fits generator-based processes:
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
 from typing import Any, Deque, Optional
 
 from .core import Event, SimulationError, Simulator
@@ -43,85 +42,17 @@ class Resource:
         # Time-weighted busy accounting for utilization reports.
         self._busy_area = 0.0
         self._last_change = 0.0
-        # Pending busy-area split points (heap).  A fused delay chain
-        # (repro.sim.fusion) merges back-to-back charges into one event;
-        # registering the stepwise chain's intermediate release/re-acquire
-        # timestamps here keeps the _busy_area float summation split at
-        # exactly the same points, so utilization stays byte-identical
-        # between the fused and stepwise legs.
-        self._splits: list = []
-        # Virtual occupancies (heap of expiry times).  A fused
-        # fire-and-forget charge (CoreGroup.charge_wall) holds its slot
-        # until a known future instant without scheduling a release event:
-        # every pool query first expires lazy charges whose time has come,
-        # replaying the stepwise release's float accounting at the exact
-        # expiry instant.  Only when a waiter actually queues is a real
-        # wake materialized (at the earliest expiry), so the uncontended
-        # case — the overwhelming majority — costs zero events.
-        self._lazy: list = []
-        self._lazy_armed = False
 
     @property
     def in_use(self) -> int:
-        if self._lazy:
-            self._expire(self.sim._now)
         return self._in_use
 
     @property
     def queue_len(self) -> int:
         return len(self._waiters)
 
-    def note_split(self, when: float) -> None:
-        """Record a future busy-area summation point (see ``_splits``)."""
-        heappush(self._splits, when)
-
-    def charge_until(self, when: float) -> None:
-        """Convert a slot the caller just acquired into a virtual
-        occupancy expiring at ``when`` (see ``_lazy``).  The caller must
-        have obtained the slot via :meth:`try_acquire` (so no waiters
-        exist) and must not call :meth:`release` for it."""
-        heappush(self._lazy, when)
-
-    def _expire(self, now: float) -> None:
-        """Retire lazy charges due by ``now``, replaying the stepwise
-        release bookkeeping at each expiry instant in time order."""
-        lazy = self._lazy
-        while lazy and lazy[0] <= now:
-            t = heappop(lazy)
-            if self._waiters:
-                # A release with waiters hands the slot over directly;
-                # occupancy (and the busy-area sum) is unchanged.
-                self._waiters.popleft().succeed()
-            else:
-                if self._splits:
-                    self._consume_splits(t)
-                self._busy_area += self._in_use * (t - self._last_change)
-                self._last_change = t
-                self._in_use -= 1
-
-    def _lazy_wake(self, _ev=None) -> None:
-        """Materialized wake at the earliest lazy expiry: retire due
-        charges (granting queued waiters) and re-arm if more remain."""
-        self._lazy_armed = False
-        self._expire(self.sim._now)
-        if self._waiters and self._lazy and not self._lazy_armed:
-            self._lazy_armed = True
-            self.sim.call_at(self._lazy[0], self._lazy_wake)
-
-    def _consume_splits(self, now: float) -> None:
-        splits = self._splits
-        while splits and splits[0] <= now:
-            t = heappop(splits)
-            if t > self._last_change:
-                self._busy_area += self._in_use * (t - self._last_change)
-                self._last_change = t
-
     def _account(self) -> None:
         now = self.sim.now
-        if self._lazy:
-            self._expire(now)
-        if self._splits:
-            self._consume_splits(now)
         self._busy_area += self._in_use * (now - self._last_change)
         self._last_change = now
 
@@ -130,12 +61,8 @@ class Resource:
         the caller must fall back to :meth:`acquire` and wait.  This is the
         hot-path front door: ``if not r.try_acquire(): yield r.acquire()``.
         """
-        now = self.sim._now
-        if self._lazy:
-            self._expire(now)
         if self._in_use < self.capacity and not self._waiters:
-            if self._splits:
-                self._consume_splits(now)
+            now = self.sim._now
             self._busy_area += self._in_use * (now - self._last_change)
             self._last_change = now
             self._in_use += 1
@@ -144,8 +71,6 @@ class Resource:
 
     def acquire(self) -> Event:
         """Returns an event that fires when a slot is granted."""
-        if self._lazy:
-            self._expire(self.sim._now)
         ev = Event(self.sim, self._acquire_name)
         if self._in_use < self.capacity and not self._waiters:
             self._account()
@@ -153,14 +78,9 @@ class Resource:
             ev.succeed()
         else:
             self._waiters.append(ev)
-            if self._lazy and not self._lazy_armed:
-                self._lazy_armed = True
-                self.sim.call_at(self._lazy[0], self._lazy_wake)
         return ev
 
     def release(self) -> None:
-        if self._lazy:
-            self._expire(self.sim._now)
         if self._in_use <= 0:
             raise SimulationError("release of idle resource %r" % self.name)
         if self._waiters:

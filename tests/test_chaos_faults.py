@@ -13,8 +13,13 @@ Three families of guarantees:
   produce byte-identical fault traces and identical commit/abort counts.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.bench.chaos import DEFAULT_CHAOS_FAULTS, run_chaos
 from repro.core import RecoveryManager, TxnSpec, XenicCluster, XenicConfig
 from repro.sim import RngStream, Simulator
@@ -40,6 +45,42 @@ def test_fault_spec_parse_rejects_unknown_and_bad_probs():
         FaultSpec.parse("drop=1.5")
     with pytest.raises(ValueError):
         FaultSpec.parse("drop")
+
+
+@pytest.mark.parametrize("text,field,token", [
+    ("drop=abc", "drop", "abc"),
+    ("delay=0.05:soon", "delay", "soon"),
+    ("crash=x@1", "crash", "x"),
+    ("crash=100@node1", "crash", "node1"),
+    ("recovery_delay=later", "recovery_delay", "later"),
+])
+def test_fault_spec_parse_names_bad_number(text, field, token):
+    with pytest.raises(ValueError) as err:
+        FaultSpec.parse(text)
+    assert repr(field) in str(err.value)
+    assert repr(token) in str(err.value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["chaos", "--faults", "drop=abc", "--seeds", "1"],
+    ["trace", "--faults", "drop=abc"],
+    ["fig2", "--faults", "drop=abc"],
+    ["slo", "--faults", "drop=abc"],
+    ["chaos", "--faults", "gremlins=0.5", "--seeds", "1"],
+])
+def test_cli_bad_faults_is_a_usage_error(argv):
+    """A malformed --faults spec exits 2 with an argparse message naming
+    the bad token, never a traceback, on every subcommand that takes it."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "repro"] + argv,
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "argument --faults" in proc.stderr
+    assert argv[2] in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_fault_spec_crash_without_restart():

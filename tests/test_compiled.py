@@ -157,7 +157,7 @@ def test_compiled_non_event_yield_fails_process(leg):
 
 def _trace(queue_kind):
     """A small but busy workload: timeouts, AnyOf cancellation storms,
-    process chaining, call_at — every compiled fast path fires."""
+    process chaining, timeout callbacks — every compiled fast path fires."""
     sim = Simulator(queue=queue_kind)
     log = []
 
@@ -178,7 +178,8 @@ def _trace(queue_kind):
     p = sim.spawn(chained())
     p.add_callback(lambda e: log.append(("end", sim.now, e._value)))
     for i in range(10):
-        sim.call_at(3.0 + i, lambda _ev, i=i: log.append(("at", sim.now, i)))
+        Timeout(sim, 3.0 + i).add_callback(
+            lambda _ev, i=i: log.append(("at", sim.now, i)))
     sim.run(until=37.5)
     sim.run()
     return log, sim.now, sim.events_scheduled
@@ -191,17 +192,6 @@ def test_trace_identical_across_legs(leg, queue_kind):
     off = _trace(queue_kind)
     leg("on")
     on = _trace(queue_kind)
-    assert off == on
-
-
-@needs_ckern
-@pytest.mark.parametrize("fusion", ["off", "on"])
-def test_trace_identical_across_legs_per_fusion(leg, monkeypatch, fusion):
-    monkeypatch.setenv("REPRO_FUSION", fusion)
-    leg("off")
-    off = _trace("calendar")
-    leg("on")
-    on = _trace("calendar")
     assert off == on
 
 
