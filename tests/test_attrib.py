@@ -131,6 +131,19 @@ def test_attribution_sums_match_end_to_end():
     assert "wire" in text
 
 
+def test_attribution_sums_on_heap_queue(monkeypatch):
+    """The 1% attribution-sum bar also holds on the heap event queue, so
+    every annotation point exists whichever queue drains the run."""
+    monkeypatch.setenv("REPRO_QUEUE", "heap")
+    bench = small_bench()
+    result = bench.measure(4, warmup_us=60.0, window_us=250.0)
+    assert result.commits > 0
+    res = attribute_bench(bench)
+    assert res.count > 0
+    assert res.events_dropped == 0
+    assert res.max_residual_frac() < 0.01
+
+
 def test_attribution_on_baseline_system():
     bench = small_bench(system="drtmh")
     bench.measure(3, warmup_us=60.0, window_us=200.0)
