@@ -350,10 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--update", action="store_true",
                       help="append this run to the trajectory file")
     perf.add_argument("--label", default="", help="label for --update")
-    perf.add_argument("--ab-queues", action="store_true",
-                      help="run each bench once per event-queue "
-                           "implementation (REPRO_QUEUE=heap|calendar) "
-                           "and print the side-by-side ratio")
     perf.add_argument("--ab-compiled", action="store_true",
                       help="run the bench set once per compiled-engine "
                            "leg (REPRO_COMPILED=off, on) and print the "
@@ -361,9 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "are byte-identical between legs; requires "
                            "the repro.sim._ckern extension)")
     perf.add_argument("--ab-out", default=None, metavar="FILE",
-                      help="with --ab-queues/--ab-compiled: "
-                           "also write the raw A/B results as JSON "
-                           "(CI artifact)")
+                      help="with --ab-compiled: also write the raw "
+                           "A/B results as JSON (CI artifact)")
     perf.add_argument("--profile", action="store_true",
                       help="run the benches under cProfile and print the "
                            "hottest functions (skips baseline compare: "
@@ -533,9 +528,9 @@ def run_chaos_command(args) -> int:
 
 def run_perf_command(args) -> int:
     from .bench.perf import (BENCH_FILE, append_entry, baseline_entry,
-                             compare_entries, format_ab, format_compiled_ab,
+                             compare_entries, format_compiled_ab,
                              format_results, measure_scaling,
-                             run_compiled_ab, run_perf, run_queue_ab)
+                             run_compiled_ab, run_perf)
 
     quick = not args.full
     repeats = 1 if args.quick else args.repeats
@@ -548,18 +543,6 @@ def run_perf_command(args) -> int:
             print("error: %s" % exc)
             return 2
         print(format_compiled_ab(ab))
-        if args.ab_out:
-            import json
-
-            with open(args.ab_out, "w") as fh:
-                json.dump(ab, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print("wrote %s" % args.ab_out)
-        return 0
-    if args.ab_queues:
-        ab = run_queue_ab(quick=quick, repeats=repeats,
-                          benches=args.bench)
-        print(format_ab(ab))
         if args.ab_out:
             import json
 

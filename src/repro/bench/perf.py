@@ -10,8 +10,8 @@ Two kinds of benches:
 * **event-loop micro benches** (``timeout_churn``, ``resource_churn``,
   ``anyof_cancel``, ``queue_churn``, ``link_stream``): tight loops over
   one engine primitive, reported as events/second dispatched
-  (``queue_churn`` is the scheduler A/B workhorse: near-horizon churn
-  against a large standing population of far timers);
+  (``queue_churn`` stresses the scheduler: near-horizon churn against a
+  large standing population of far timers);
 * **model-layer micro benches** (``workload_specs``, ``store_probe``,
   ``commit_path``): the layers *above* the engine — workload spec
   generation, Robinhood probe loops, and the no-conflict commit path —
@@ -44,15 +44,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..sim.compiled import compiled_available, selected_compiled
 from ..sim.core import AnyOf, Simulator, Timeout
-from ..sim.equeue import QUEUE_KINDS, selected_queue_kind
 from ..sim.link import SerialLink
 from ..sim.resources import Resource
 
-__all__ = ["run_perf", "run_queue_ab", "run_compiled_ab",
+__all__ = ["run_perf", "run_compiled_ab",
            "compare_entries",
            "load_trajectory", "append_entry", "baseline_entry",
-           "format_results", "format_ab", "format_compiled_ab",
-           "measure_scaling", "BENCH_FILE", "SCHEMA", "AB_BENCHES",
+           "format_results", "format_compiled_ab",
+           "measure_scaling", "BENCH_FILE", "SCHEMA",
            "COMPILED_AB_BENCHES"]
 
 BENCH_FILE = "BENCH_simperf.json"
@@ -117,8 +116,7 @@ def _bench_queue_churn(n: int) -> Tuple[float, int]:
     against a large standing population of far timers — the queue shape
     of an open-loop sweep, where every node keeps retransmission/lease
     timers parked orders of magnitude past the working band.  The heap
-    pays O(log population) sifts (and their cache misses) per churn op;
-    the calendar parks the far band in its buckets and keeps churn O(1).
+    pays O(log population) sifts (and their cache misses) per churn op.
     Only churn events count toward the rate."""
     sim = Simulator()
     standing = 16 * n
@@ -130,10 +128,7 @@ def _bench_queue_churn(n: int) -> Tuple[float, int]:
     def churn():
         # Park past the warmup window, then stamp the wall clock from
         # *inside* the dispatch loop: the timed window covers exactly
-        # the n churn events, excluding one-time structure setup on
-        # either side (the calendar's first-activation rebalance during
-        # warmup, and the far-band activation after the last churn event
-        # when run(until) probes for the next entry).
+        # the n churn events and nothing on either side of them.
         yield Timeout(sim, 32.0)
         stamps.append(time.perf_counter())
         for _ in range(n):
@@ -141,9 +136,8 @@ def _bench_queue_churn(n: int) -> Tuple[float, int]:
         stamps.append(time.perf_counter())
 
     sim.spawn(churn())
-    # Warm up past the first pops so the calendar pays its one-time
-    # first-activation rebalance over the standing population here, not
-    # in the timed window: this bench measures steady-state churn.
+    # Warm up past the first pops: this bench measures steady-state
+    # churn.
     sim.run(until=16.0)
     sim.run(until=64.0 + float(n))
     return stamps[1] - stamps[0], n
@@ -335,11 +329,6 @@ _END_TO_END: Dict[str, Callable[[bool], Tuple[float, int, int]]] = {
     "chaos_seed": _bench_chaos_seed,
 }
 
-# Default bench set for the heap-vs-calendar A/B: the queue-sensitive
-# engine micro benches plus one end-to-end point.
-AB_BENCHES = ["timeout_churn", "anyof_cancel", "queue_churn",
-              "link_stream", "fig8d_point"]
-
 # Default bench set for the compiled-core A/B: the engine-bound micro
 # benches (where the C fast paths dominate wall time) plus one
 # end-to-end point (where Amdahl dilutes them — see
@@ -384,39 +373,21 @@ def run_perf(quick: bool = True, repeats: int = 3,
     return results
 
 
-def run_queue_ab(quick: bool = True, repeats: int = 3,
-                 benches: Optional[List[str]] = None,
-                 ) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Run the same benches once per queue implementation (``heap`` and
-    ``calendar``), returning ``{kind: results}``.  Selection goes
-    through ``REPRO_QUEUE`` — every ``Simulator()`` a bench builds reads
-    it at construction — and the caller's value is restored on exit."""
-    saved = os.environ.get("REPRO_QUEUE")
-    out: Dict[str, Dict[str, Dict[str, float]]] = {}
-    try:
-        for kind in QUEUE_KINDS:
-            os.environ["REPRO_QUEUE"] = kind
-            out[kind] = run_perf(quick=quick, repeats=repeats,
-                                 benches=benches or AB_BENCHES)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_QUEUE", None)
-        else:
-            os.environ["REPRO_QUEUE"] = saved
-    return out
-
-
 def run_compiled_ab(quick: bool = True, repeats: int = 3,
                     benches: Optional[List[str]] = None,
                     ) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Run the same benches once per compiled-engine leg (``off`` then
-    ``on``), returning ``{leg: results}``.  Selection goes through
-    ``REPRO_COMPILED`` — every ``Simulator()`` re-reads it at
-    construction and installs/removes the extension's method patches to
-    match, so the two legs run in the same process — and the caller's
-    value is restored on exit.  Simulated results are byte-identical
-    between legs (pinned by tests/test_compiled.py); only wall time
-    differs, so the headline metric is the wall ratio.
+    """Run the same benches on both compiled-engine legs, returning
+    ``{leg: results}`` with the best (minimum) wall time per leg.
+
+    The legs alternate per repeat of each bench (off, on, on, off, …),
+    so neither leg always runs first: running all of one leg and then
+    all of the other hands whichever runs second a warmer process.
+    Selection goes through ``REPRO_COMPILED`` — every ``Simulator()``
+    re-reads it at construction and installs/removes the extension's
+    method patches to match, so the two legs run in the same process —
+    and the caller's value is restored on exit.  Simulated results are
+    byte-identical between legs (pinned by tests/test_compiled.py); only
+    wall time differs, so the headline metric is the wall ratio.
 
     Raises RuntimeError when the ``repro.sim._ckern`` extension is not
     importable (there is nothing to A/B against)."""
@@ -426,12 +397,16 @@ def run_compiled_ab(quick: bool = True, repeats: int = 3,
             "`python setup.py build_ext --inplace` before running "
             "the compiled A/B")
     saved = os.environ.get("REPRO_COMPILED")
-    out: Dict[str, Dict[str, Dict[str, float]]] = {}
+    out: Dict[str, Dict[str, Dict[str, float]]] = {"off": {}, "on": {}}
     try:
-        for kind in ("off", "on"):
-            os.environ["REPRO_COMPILED"] = kind
-            out[kind] = run_perf(quick=quick, repeats=repeats,
-                                 benches=benches or COMPILED_AB_BENCHES)
+        for name in benches or COMPILED_AB_BENCHES:
+            for i in range(repeats):
+                for kind in (("off", "on") if i % 2 == 0 else ("on", "off")):
+                    os.environ["REPRO_COMPILED"] = kind
+                    r = run_perf(quick=quick, repeats=1, benches=[name])[name]
+                    best = out[kind].get(name)
+                    if best is None or r["wall_s"] < best["wall_s"]:
+                        out[kind][name] = r
     finally:
         if saved is None:
             os.environ.pop("REPRO_COMPILED", None)
@@ -468,28 +443,6 @@ def format_results(results: Dict[str, Dict[str, float]]) -> str:
         lines.append("%-16s %10.3f %12d %14.0f %s"
                      % (name, r["wall_s"], r["events"],
                         r["events_per_sec"], per_txn))
-    return "\n".join(lines)
-
-
-def format_ab(ab: Dict[str, Dict[str, Dict[str, float]]]) -> str:
-    """Side-by-side heap/calendar table with the speedup ratio."""
-    kinds = list(ab)
-    names: List[str] = []
-    for results in ab.values():
-        for name in results:
-            if name not in names:
-                names.append(name)
-    lines = ["%-16s" % "bench"
-             + "".join(" %14s" % ("%s ev/s" % k) for k in kinds)
-             + " %10s" % "ratio"]
-    for name in names:
-        rates = [ab[k].get(name, {}).get("events_per_sec", 0.0)
-                 for k in kinds]
-        ratio = (rates[-1] / rates[0]
-                 if len(rates) > 1 and rates[0] > 0 else 0.0)
-        lines.append("%-16s" % name
-                     + "".join(" %14.0f" % r for r in rates)
-                     + " %9.2fx" % ratio)
     return "\n".join(lines)
 
 
@@ -551,7 +504,6 @@ def append_entry(results: Dict[str, Dict[str, float]], quick: bool,
         "label": label or "run%d" % (len(data["trajectory"]) + 1),
         "python": platform.python_version(),
         "quick": bool(quick),
-        "queue": selected_queue_kind(),
         "compiled": selected_compiled(),
         "compiled_available": compiled_available(),
         "results": results,

@@ -1,13 +1,7 @@
 """Discrete-event simulation substrate (clock, processes, resources, RNG)."""
 
 from .core import AllOf, AnyOf, Event, Interrupt, Process, SimulationError, Simulator, Timeout
-from .equeue import (
-    CalendarEventQueue,
-    EventQueue,
-    HeapEventQueue,
-    make_queue,
-    selected_queue_kind,
-)
+from .equeue import HeapEventQueue, make_queue
 from .faults import CrashEvent, FaultEvent, FaultPlan, FaultSpec, FaultTrace
 from .link import BatchingLink, SerialLink
 from .resources import Resource, Semaphore, Store
@@ -23,11 +17,8 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "SimulationError",
-    "EventQueue",
     "HeapEventQueue",
-    "CalendarEventQueue",
     "make_queue",
-    "selected_queue_kind",
     "Resource",
     "Semaphore",
     "Store",

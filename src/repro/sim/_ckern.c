@@ -1,5 +1,5 @@
 /* Compiled engine kernel (REPRO_COMPILED): the hot loop of
- * repro.sim.core, both repro.sim.equeue queue implementations, and the
+ * repro.sim.core, the repro.sim.equeue binary-heap queue, and the
  * message constructors behind the repro.core.messages free-lists,
  * hand-written against the CPython C API.
  *
@@ -12,10 +12,9 @@
  *   access — there is no parallel compiled object model, so the two
  *   legs cannot disagree structurally.
  * - Every algorithm here is a line-for-line transliteration of the
- *   Python it replaces, including the lazy-deletion/compaction and
- *   calendar rebalance triggers (digest-visible).  Pop order is total
- *   (when, seq) order in both legs, so heap layout and qsort
- *   instability are digest-neutral by construction.
+ *   Python it replaces, including the lazy-deletion/compaction
+ *   trigger (digest-visible).  Pop order is total (when, seq) order in
+ *   both legs, so heap layout is digest-neutral by construction.
  * - Patched methods are exposed as instancemethod-wrapped C functions
  *   (repro/sim/compiled.py installs/uninstalls them), so activation is
  *   reversible within one process — that is what makes the same-process
@@ -227,7 +226,7 @@ set_now(PyObject *sim, double when)
 }
 
 /* ------------------------------------------------------------------ */
-/* entry vectors, bucket map, bucket-id heap                           */
+/* entry vectors                                                       */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
@@ -274,9 +273,9 @@ evec_push(EVec *v, CEntry e)
 }
 
 static void
-evec_release(EVec *v, Py_ssize_t from)
+evec_release(EVec *v)
 {
-    for (Py_ssize_t i = from; i < v->n; i++) {
+    for (Py_ssize_t i = 0; i < v->n; i++) {
         Py_XDECREF(v->a[i].ev);
         Py_XDECREF(v->a[i].val);
     }
@@ -294,278 +293,12 @@ entry_lt(const CEntry *a, const CEntry *b)
     return a->seq < b->seq;
 }
 
-static int
-entry_cmp_qsort(const void *pa, const void *pb)
-{
-    const CEntry *a = (const CEntry *)pa, *b = (const CEntry *)pb;
-    if (a->when != b->when)
-        return a->when < b->when ? -1 : 1;
-    return a->seq < b->seq ? -1 : 1;  /* seq unique: never equal */
-}
-
-/* open-addressed map: long long bucket id -> EVec* (malloc'd) */
-typedef struct {
-    long long key;
-    EVec *vec;
-    char state;  /* 0 empty, 1 used, 2 tombstone */
-} MapSlot;
-
-typedef struct {
-    MapSlot *slots;
-    Py_ssize_t mask;   /* capacity - 1 (capacity is a power of two) */
-    Py_ssize_t used;   /* live keys */
-    Py_ssize_t fill;   /* live + tombstones */
-} BMap;
-
-static int
-bmap_init(BMap *m, Py_ssize_t cap)
-{
-    m->slots = (MapSlot *)PyMem_Calloc((size_t)cap, sizeof(MapSlot));
-    if (m->slots == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    m->mask = cap - 1;
-    m->used = 0;
-    m->fill = 0;
-    return 0;
-}
-
-static inline size_t
-bmap_hash(long long key)
-{
-    unsigned long long h = (unsigned long long)key;
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    return (size_t)h;
-}
-
-static MapSlot *
-bmap_find(BMap *m, long long key)
-{
-    size_t i = bmap_hash(key) & (size_t)m->mask;
-    MapSlot *first_tomb = NULL;
-    for (;;) {
-        MapSlot *s = &m->slots[i];
-        if (s->state == 0)
-            return first_tomb ? first_tomb : s;
-        if (s->state == 2) {
-            if (first_tomb == NULL)
-                first_tomb = s;
-        }
-        else if (s->key == key)
-            return s;
-        i = (i + 1) & (size_t)m->mask;
-    }
-}
-
-static int bmap_grow(BMap *m);
-
-/* get-or-create the vector for key; NULL on allocation failure */
-static EVec *
-bmap_put(BMap *m, long long key)
-{
-    if (3 * (m->fill + 1) >= 2 * (m->mask + 1)) {
-        if (bmap_grow(m) < 0)
-            return NULL;
-    }
-    MapSlot *s = bmap_find(m, key);
-    if (s->state == 1)
-        return s->vec;
-    EVec *v = (EVec *)PyMem_Calloc(1, sizeof(EVec));
-    if (v == NULL) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    if (s->state == 0)
-        m->fill++;
-    s->state = 1;
-    s->key = key;
-    s->vec = v;
-    m->used++;
-    return v;
-}
-
-static int
-bmap_grow(BMap *m)
-{
-    Py_ssize_t oldcap = m->mask + 1;
-    MapSlot *old = m->slots;
-    Py_ssize_t cap = oldcap;
-    while (3 * (m->used + 1) >= 2 * cap)
-        cap <<= 1;
-    if (bmap_init(m, cap) < 0) {
-        m->slots = old;
-        m->mask = oldcap - 1;
-        return -1;
-    }
-    for (Py_ssize_t i = 0; i < oldcap; i++) {
-        if (old[i].state == 1) {
-            MapSlot *s = bmap_find(m, old[i].key);
-            s->state = 1;
-            s->key = old[i].key;
-            s->vec = old[i].vec;
-            m->used++;
-            m->fill++;
-        }
-    }
-    PyMem_Free(old);
-    return 0;
-}
-
-/* remove and return the vector at key, or NULL if absent */
-static EVec *
-bmap_pop(BMap *m, long long key)
-{
-    MapSlot *s = bmap_find(m, key);
-    if (s->state != 1)
-        return NULL;
-    EVec *v = s->vec;
-    s->state = 2;
-    s->vec = NULL;
-    m->used--;
-    return v;
-}
-
-static void
-bmap_dispose(BMap *m, int release_refs)
-{
-    if (m->slots == NULL)
-        return;
-    for (Py_ssize_t i = 0; i <= m->mask; i++) {
-        if (m->slots[i].state == 1) {
-            if (release_refs)
-                evec_release(m->slots[i].vec, 0);
-            else {
-                PyMem_Free(m->slots[i].vec->a);
-            }
-            PyMem_Free(m->slots[i].vec);
-        }
-    }
-    PyMem_Free(m->slots);
-    m->slots = NULL;
-    m->mask = -1;
-    m->used = 0;
-    m->fill = 0;
-}
-
-/* min/max over live keys (callers guarantee used > 0) */
-static void
-bmap_minmax(BMap *m, long long *lo, long long *hi)
-{
-    int seen = 0;
-    for (Py_ssize_t i = 0; i <= m->mask; i++) {
-        if (m->slots[i].state == 1) {
-            long long k = m->slots[i].key;
-            if (!seen) {
-                *lo = *hi = k;
-                seen = 1;
-            }
-            else {
-                if (k < *lo)
-                    *lo = k;
-                if (k > *hi)
-                    *hi = k;
-            }
-        }
-    }
-}
-
-/* long long min-heap for bucket ids */
-typedef struct {
-    long long *a;
-    Py_ssize_t n, cap;
-} LHeap;
-
-static int
-lheap_reserve(LHeap *h, Py_ssize_t need)
-{
-    if (need <= h->cap)
-        return 0;
-    Py_ssize_t cap = h->cap ? h->cap : 16;
-    while (cap < need)
-        cap <<= 1;
-    long long *a = (long long *)PyMem_Realloc(h->a,
-                                              (size_t)cap * sizeof(long long));
-    if (a == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    h->a = a;
-    h->cap = cap;
-    return 0;
-}
-
-static int
-lheap_push(LHeap *h, long long v)
-{
-    if (lheap_reserve(h, h->n + 1) < 0)
-        return -1;
-    Py_ssize_t i = h->n++;
-    h->a[i] = v;
-    while (i > 0) {
-        Py_ssize_t p = (i - 1) >> 1;
-        if (h->a[p] <= h->a[i])
-            break;
-        long long t = h->a[p];
-        h->a[p] = h->a[i];
-        h->a[i] = t;
-        i = p;
-    }
-    return 0;
-}
-
-static long long
-lheap_pop(LHeap *h)
-{
-    long long top = h->a[0];
-    h->a[0] = h->a[--h->n];
-    Py_ssize_t i = 0, n = h->n;
-    for (;;) {
-        Py_ssize_t l = 2 * i + 1, r = l + 1, s = i;
-        if (l < n && h->a[l] < h->a[s])
-            s = l;
-        if (r < n && h->a[r] < h->a[s])
-            s = r;
-        if (s == i)
-            break;
-        long long t = h->a[s];
-        h->a[s] = h->a[i];
-        h->a[i] = t;
-        i = s;
-    }
-    return top;
-}
-
-/* when -> bucket id: exact for power-of-two widths (like Python's
- * int(when * inv)); saturated so pathological magnitudes stay defined
- * (saturation keeps id order monotone in `when`, which is all pop
- * order relies on). */
-static inline long long
-bucket_id(double when, double inv)
-{
-    double b = when * inv;
-    if (b >= 9.0e18)
-        return (long long)4611686018427387904LL;  /* 2^62 */
-    if (b <= -9.0e18)
-        return (long long)-4611686018427387904LL;
-    return (long long)b;  /* C truncation == Python int() toward zero */
-}
-
 /* ------------------------------------------------------------------ */
 /* CHeapQueue: the binary-heap scheduler (HeapEventQueue)              */
 /* ------------------------------------------------------------------ */
 
-/* Tuning constants mirrored from repro.sim.equeue (digest-visible). */
+/* Compaction trigger mirrored from repro.sim.equeue (digest-visible). */
 #define COMPACT_MIN_CANCELLED 64
-#define DENSE_BUCKET 96
-#define SPARSE_ACTS 32
-#define SPARSE_PUSHES_PER_ACT 16
-#define TARGET_LOAD 4.0
-#define MIN_WIDTH 9.5367431640625e-07   /* 2^-20 */
-#define MAX_WIDTH 16777216.0            /* 2^24 */
-#define REBALANCE_MIN 128
 
 typedef struct {
     PyObject_HEAD
@@ -802,12 +535,6 @@ cheap_get_seq(CHeap *q, void *closure)
     return PyLong_FromLongLong(q->seq);
 }
 
-static PyObject *
-cheap_get_kind(CHeap *q, void *closure)
-{
-    return PyUnicode_FromString("heap");
-}
-
 static int
 cheap_traverse(CHeap *q, visitproc visit, void *arg)
 {
@@ -825,7 +552,7 @@ cheap_clear(CHeap *q)
     q->h.a = NULL;
     q->h.n = 0;
     q->h.cap = 0;
-    evec_release(&tmp, 0);
+    evec_release(&tmp);
     return 0;
 }
 
@@ -858,7 +585,6 @@ static PyMethodDef cheap_methods[] = {
 
 static PyGetSetDef cheap_getset[] = {
     {"seq", (getter)cheap_get_seq, NULL, NULL, NULL},
-    {"kind", (getter)cheap_get_kind, NULL, NULL, NULL},
     {NULL, NULL, NULL, NULL, NULL},
 };
 
@@ -882,630 +608,6 @@ static PyTypeObject CHeapType = {
     .tp_new = PyType_GenericNew,
 };
 
-/* ------------------------------------------------------------------ */
-/* CCalendarQueue: the calendar/bucket scheduler (CalendarEventQueue)  */
-/* ------------------------------------------------------------------ */
-
-typedef struct {
-    PyObject_HEAD
-    long long seq, removed, cancelled, seq_mark;
-    long long cur_id;       /* bids <= cur_id route into cur; -1 = none */
-    long long acts;
-    double width, inv;
-    EVec cur;               /* activated bucket, ascending (when, seq) */
-    Py_ssize_t head;        /* live region is cur.a[head .. cur.n) */
-    BMap map;               /* bucket id -> EVec* of unsorted entries */
-    LHeap bids;
-} CCal;
-
-static inline long long
-ccal_len(CCal *q)
-{
-    return q->seq - q->removed;
-}
-
-/* append an entry (ownership taken) to the bucket for `when`, or
- * insort it into the active band.  Transliterates CalendarEventQueue.push. */
-static int
-ccal_push_c(CCal *q, double when, PyObject *ev, PyObject *val)
-{
-    CEntry e;
-    q->seq += 1;
-    e.when = when;
-    e.seq = q->seq;
-    Py_INCREF(ev);
-    e.ev = ev;
-    if (val == NULL)
-        val = Py_None;
-    Py_INCREF(val);
-    e.val = val;
-    long long bid = bucket_id(when, q->inv);
-    if (bid <= q->cur_id) {
-        /* binary search in the live region [head, n) for the insertion
-         * point (ascending (when, seq)), then shift */
-        EVec *c = &q->cur;
-        if (evec_reserve(c, c->n + 1) < 0) {
-            Py_DECREF(e.ev);
-            Py_DECREF(e.val);
-            return -1;
-        }
-        Py_ssize_t lo = q->head, hi = c->n;
-        while (lo < hi) {
-            Py_ssize_t mid = (lo + hi) >> 1;
-            if (entry_lt(&c->a[mid], &e))
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        memmove(&c->a[lo + 1], &c->a[lo],
-                (size_t)(c->n - lo) * sizeof(CEntry));
-        c->a[lo] = e;
-        c->n += 1;
-        return 0;
-    }
-    EVec *b = bmap_put(&q->map, bid);
-    if (b == NULL) {
-        Py_DECREF(e.ev);
-        Py_DECREF(e.val);
-        return -1;
-    }
-    if (b->n == 0) {
-        if (lheap_push(&q->bids, bid) < 0) {
-            Py_DECREF(e.ev);
-            Py_DECREF(e.val);
-            return -1;
-        }
-    }
-    return evec_push(b, e);
-}
-
-/* Re-derive the width from the live span and re-bucket everything.
- * extra: the in-flight bucket a trigger hands over (consumed only on
- * success), may be NULL.  floor > 0 applies the sparse-trigger minimum.
- * Returns 1 rebalanced, 0 declined (nothing mutated), -1 error. */
-static int
-ccal_rebalance(CCal *q, EVec *extra, double floor_)
-{
-    long long n = ccal_len(q);
-    if (n < 1)
-        return 0;
-    int have = 0;
-    double lo = 0.0, hi = 0.0;
-    if (q->map.used > 0) {
-        long long blo = 0, bhi = 0;
-        bmap_minmax(&q->map, &blo, &bhi);
-        lo = (double)blo * q->width;
-        hi = ((double)bhi + 1.0) * q->width;
-        have = 1;
-    }
-    if (extra != NULL && extra->n > 0) {
-        double plo = extra->a[0].when, phi = extra->a[0].when;
-        for (Py_ssize_t i = 1; i < extra->n; i++) {
-            double w = extra->a[i].when;
-            if (w < plo)
-                plo = w;
-            if (w > phi)
-                phi = w;
-        }
-        if (!have) {
-            lo = plo;
-            hi = phi;
-            have = 1;
-        }
-        else {
-            if (plo < lo)
-                lo = plo;
-            if (phi > hi)
-                hi = phi;
-        }
-    }
-    if (q->cur.n > q->head) {
-        /* cur is sorted ascending: min at head, max at the tail */
-        double plo = q->cur.a[q->head].when;
-        double phi = q->cur.a[q->cur.n - 1].when;
-        if (!have) {
-            lo = plo;
-            hi = phi;
-            have = 1;
-        }
-        else {
-            if (plo < lo)
-                lo = plo;
-            if (phi > hi)
-                hi = phi;
-        }
-    }
-    double target = 0.0;
-    if (have) {
-        double span = hi - lo;
-        if (span > 0.0) {
-            double denom = (double)n / TARGET_LOAD;
-            if (denom < 8.0)
-                denom = 8.0;
-            target = span / denom;
-        }
-    }
-    if (floor_ > 0.0 && floor_ > target)
-        target = floor_;
-    if (target <= 0.0)
-        return 0;
-    double width = MIN_WIDTH;
-    while (width < target && width < MAX_WIDTH)
-        width *= 2.0;
-    if (width == q->width)
-        return 0;
-
-    /* gather every live entry, then re-bucket at the new width */
-    EVec all = {NULL, 0, 0};
-    Py_ssize_t total = (q->cur.n - q->head) + (extra ? extra->n : 0);
-    for (Py_ssize_t i = 0; i <= q->map.mask; i++)
-        if (q->map.slots[i].state == 1)
-            total += q->map.slots[i].vec->n;
-    if (evec_reserve(&all, total) < 0)
-        return -1;
-    for (Py_ssize_t i = q->head; i < q->cur.n; i++)
-        all.a[all.n++] = q->cur.a[i];
-    if (extra != NULL) {
-        for (Py_ssize_t i = 0; i < extra->n; i++)
-            all.a[all.n++] = extra->a[i];
-        extra->n = 0;
-        PyMem_Free(extra->a);
-        extra->a = NULL;
-        extra->cap = 0;
-    }
-    for (Py_ssize_t i = 0; i <= q->map.mask; i++) {
-        if (q->map.slots[i].state == 1) {
-            EVec *b = q->map.slots[i].vec;
-            for (Py_ssize_t j = 0; j < b->n; j++)
-                all.a[all.n++] = b->a[j];
-            b->n = 0;
-        }
-    }
-    /* entries moved out; dispose the old map + bucket shells */
-    bmap_dispose(&q->map, 0);
-    q->cur.n = 0;
-    q->head = 0;
-    PyMem_Free(q->cur.a);
-    q->cur.a = NULL;
-    q->cur.cap = 0;
-    q->bids.n = 0;
-
-    q->width = width;
-    q->inv = 1.0 / width;
-    if (bmap_init(&q->map, 64) < 0)
-        goto fatal;
-    for (Py_ssize_t i = 0; i < all.n; i++) {
-        long long bid = bucket_id(all.a[i].when, q->inv);
-        EVec *b = bmap_put(&q->map, bid);
-        if (b == NULL)
-            goto fatal;
-        if (evec_push(b, all.a[i]) < 0) {
-            /* evec_push released this entry's refs on failure */
-            for (Py_ssize_t j = i + 1; j < all.n; j++) {
-                Py_DECREF(all.a[j].ev);
-                Py_DECREF(all.a[j].val);
-            }
-            all.n = 0;
-            PyMem_Free(all.a);
-            return -1;
-        }
-    }
-    all.n = 0;
-    PyMem_Free(all.a);
-    all.a = NULL;
-    /* rebuild the id heap from the new map */
-    for (Py_ssize_t i = 0; i <= q->map.mask; i++) {
-        if (q->map.slots[i].state == 1) {
-            if (lheap_push(&q->bids, q->map.slots[i].key) < 0)
-                return -1;
-        }
-    }
-    q->cur_id = -1;
-    q->acts = 0;
-    q->seq_mark = q->seq;
-    return 1;
-fatal:
-    for (Py_ssize_t i = 0; i < all.n; i++) {
-        Py_XDECREF(all.a[i].ev);
-        Py_XDECREF(all.a[i].val);
-    }
-    PyMem_Free(all.a);
-    return -1;
-}
-
-/* Activate the next non-empty bucket into cur.  1 activated, 0 drained,
- * -1 error.  Transliterates CalendarEventQueue._advance, including the
- * digest-visible trigger accounting. */
-static int
-ccal_advance(CCal *q)
-{
-    /* the previous band is fully consumed by now; reset the vector so
-     * the dead prefix cannot grow without bound */
-    if (q->head >= q->cur.n) {
-        q->cur.n = 0;
-        q->head = 0;
-    }
-    long long n = ccal_len(q);
-    if (q->cur_id == -1 && n >= REBALANCE_MIN
-        && 2 * (long long)q->map.used >= n) {
-        int r = ccal_rebalance(q, NULL, 0.0);
-        if (r < 0)
-            return -1;
-    }
-    while (q->bids.n > 0) {
-        long long bid = lheap_pop(&q->bids);
-        EVec *b = bmap_pop(&q->map, bid);
-        if (b == NULL)
-            continue;  /* stale id (compaction emptied the bucket) */
-        q->acts += 1;
-        int probed = 0;
-        if (q->acts >= SPARSE_ACTS) {
-            long long pushes = q->seq - q->seq_mark;
-            q->acts = 0;
-            q->seq_mark = q->seq;
-            if (pushes < (long long)SPARSE_PUSHES_PER_ACT * SPARSE_ACTS) {
-                probed = 1;
-                int r = ccal_rebalance(q, b, 2.0 * q->width);
-                if (r < 0) {
-                    evec_release(b, 0);
-                    PyMem_Free(b);
-                    return -1;
-                }
-                if (r == 1) {
-                    PyMem_Free(b->a);
-                    PyMem_Free(b);
-                    continue;
-                }
-            }
-        }
-        if (!probed && b->n > DENSE_BUCKET) {
-            int r = ccal_rebalance(q, b, 0.0);
-            if (r < 0) {
-                evec_release(b, 0);
-                PyMem_Free(b);
-                return -1;
-            }
-            if (r == 1) {
-                PyMem_Free(b->a);
-                PyMem_Free(b);
-                continue;
-            }
-        }
-        qsort(b->a, (size_t)b->n, sizeof(CEntry), entry_cmp_qsort);
-        PyMem_Free(q->cur.a);
-        q->cur = *b;
-        q->head = 0;
-        PyMem_Free(b);
-        q->cur_id = bid;
-        return 1;
-    }
-    return 0;
-}
-
-/* pop the minimum live-region entry (ownership out); 1 ok, 0 empty,
- * -1 error */
-static int
-ccal_pop_c(CCal *q, CEntry *out)
-{
-    while (q->head >= q->cur.n) {
-        int r = ccal_advance(q);
-        if (r <= 0)
-            return r;
-    }
-    *out = q->cur.a[q->head];
-    q->head += 1;
-    q->removed += 1;
-    return 1;
-}
-
-static PyObject *
-ccal_push(CCal *q, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError, "push(when, event, value)");
-        return NULL;
-    }
-    double when = PyFloat_AsDouble(args[0]);
-    if (when == -1.0 && PyErr_Occurred())
-        return NULL;
-    if (ccal_push_c(q, when, args[1], args[2]) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-ccal_pop_min(CCal *q, PyObject *Py_UNUSED(ignored))
-{
-    CEntry e;
-    int r = ccal_pop_c(q, &e);
-    if (r < 0)
-        return NULL;
-    if (r == 0)
-        Py_RETURN_NONE;
-    return entry_tuple(&e);
-}
-
-static PyObject *
-ccal_peek_time(CCal *q, PyObject *Py_UNUSED(ignored))
-{
-    while (q->head >= q->cur.n) {
-        int r = ccal_advance(q);
-        if (r < 0)
-            return NULL;
-        if (r == 0)
-            Py_RETURN_NONE;
-    }
-    return PyFloat_FromDouble(q->cur.a[q->head].when);
-}
-
-/* drop every already-triggered entry;
- * transliterates CalendarEventQueue._compact */
-static int
-ccal_compact(CCal *q)
-{
-    EVec *c = &q->cur;
-    Py_ssize_t w = q->head;
-    for (Py_ssize_t i = q->head; i < c->n; i++) {
-        int live = entry_live(c->a[i].ev);
-        if (live < 0)
-            return -1;
-        if (live)
-            c->a[w++] = c->a[i];
-        else {
-            Py_DECREF(c->a[i].ev);
-            Py_DECREF(c->a[i].val);
-        }
-    }
-    c->n = w;
-    long long total = c->n - q->head;
-    for (Py_ssize_t i = 0; i <= q->map.mask; i++) {
-        if (q->map.slots[i].state != 1)
-            continue;
-        EVec *b = q->map.slots[i].vec;
-        Py_ssize_t bw = 0;
-        for (Py_ssize_t j = 0; j < b->n; j++) {
-            int live = entry_live(b->a[j].ev);
-            if (live < 0)
-                return -1;
-            if (live)
-                b->a[bw++] = b->a[j];
-            else {
-                Py_DECREF(b->a[j].ev);
-                Py_DECREF(b->a[j].val);
-            }
-        }
-        b->n = bw;
-        if (bw == 0) {
-            /* empty bucket leaves the map; its id goes stale in bids */
-            PyMem_Free(b->a);
-            PyMem_Free(b);
-            q->map.slots[i].state = 2;
-            q->map.slots[i].vec = NULL;
-            q->map.used--;
-        }
-        else
-            total += bw;
-    }
-    q->removed = q->seq - total;
-    q->cancelled = 0;
-    return 0;
-}
-
-static PyObject *
-ccal_abandon(CCal *q, PyObject *Py_UNUSED(ignored))
-{
-    q->cancelled += 1;
-    if (q->cancelled >= COMPACT_MIN_CANCELLED
-        && 2 * q->cancelled >= ccal_len(q)) {
-        if (ccal_compact(q) < 0)
-            return NULL;
-    }
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-ccal_drain_all(CCal *q, PyObject *sim)
-{
-    for (;;) {
-        while (q->head < q->cur.n) {
-            /* move ownership out before firing: callbacks may push into
-             * the active band and realloc cur.a */
-            CEntry e = q->cur.a[q->head];
-            q->head += 1;
-            q->removed += 1;
-            if (set_now(sim, e.when) < 0
-                || fire_entry(sim, e.ev, e.val) < 0) {
-                Py_DECREF(e.ev);
-                Py_DECREF(e.val);
-                return NULL;
-            }
-            Py_DECREF(e.ev);
-            Py_DECREF(e.val);
-        }
-        int r = ccal_advance(q);
-        if (r < 0)
-            return NULL;
-        if (r == 0)
-            Py_RETURN_NONE;
-    }
-}
-
-static PyObject *
-ccal_drain_until(CCal *q, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "drain_until(sim, until)");
-        return NULL;
-    }
-    PyObject *sim = args[0];
-    double until = PyFloat_AsDouble(args[1]);
-    if (until == -1.0 && PyErr_Occurred())
-        return NULL;
-    for (;;) {
-        while (q->head < q->cur.n) {
-            if (q->cur.a[q->head].when > until)
-                Py_RETURN_NONE;  /* head stays queued */
-            CEntry e = q->cur.a[q->head];
-            q->head += 1;
-            q->removed += 1;
-            if (set_now(sim, e.when) < 0
-                || fire_entry(sim, e.ev, e.val) < 0) {
-                Py_DECREF(e.ev);
-                Py_DECREF(e.val);
-                return NULL;
-            }
-            Py_DECREF(e.ev);
-            Py_DECREF(e.val);
-        }
-        int r = ccal_advance(q);
-        if (r < 0)
-            return NULL;
-        if (r == 0)
-            Py_RETURN_NONE;
-    }
-}
-
-static Py_ssize_t
-ccal_sq_len(CCal *q)
-{
-    return (Py_ssize_t)ccal_len(q);
-}
-
-static PyObject *
-ccal_get_seq(CCal *q, void *closure)
-{
-    return PyLong_FromLongLong(q->seq);
-}
-
-static PyObject *
-ccal_get_kind(CCal *q, void *closure)
-{
-    return PyUnicode_FromString("calendar");
-}
-
-static PyObject *
-ccal_get_width(CCal *q, void *closure)
-{
-    return PyFloat_FromDouble(q->width);
-}
-
-static PyObject *
-ccal_get_active_buckets(CCal *q, void *closure)
-{
-    Py_ssize_t n = q->map.used + (q->cur.n > q->head ? 1 : 0);
-    return PyLong_FromSsize_t(n);
-}
-
-static int
-ccal_traverse(CCal *q, visitproc visit, void *arg)
-{
-    for (Py_ssize_t i = q->head; i < q->cur.n; i++) {
-        Py_VISIT(q->cur.a[i].ev);
-        Py_VISIT(q->cur.a[i].val);
-    }
-    if (q->map.slots != NULL) {
-        for (Py_ssize_t i = 0; i <= q->map.mask; i++) {
-            if (q->map.slots[i].state == 1) {
-                EVec *b = q->map.slots[i].vec;
-                for (Py_ssize_t j = 0; j < b->n; j++) {
-                    Py_VISIT(b->a[j].ev);
-                    Py_VISIT(b->a[j].val);
-                }
-            }
-        }
-    }
-    return 0;
-}
-
-static int
-ccal_clear_gc(CCal *q)
-{
-    EVec tmp = q->cur;
-    Py_ssize_t head = q->head;
-    q->cur.a = NULL;
-    q->cur.n = 0;
-    q->cur.cap = 0;
-    q->head = 0;
-    evec_release(&tmp, head);
-    bmap_dispose(&q->map, 1);
-    PyMem_Free(q->bids.a);
-    q->bids.a = NULL;
-    q->bids.n = 0;
-    q->bids.cap = 0;
-    return 0;
-}
-
-static void
-ccal_dealloc(CCal *q)
-{
-    PyObject_GC_UnTrack(q);
-    ccal_clear_gc(q);
-    Py_TYPE(q)->tp_free((PyObject *)q);
-}
-
-static int
-ccal_init(CCal *q, PyObject *args, PyObject *kwargs)
-{
-    static char *kwlist[] = {"width", NULL};
-    double width = 1.0;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "|d", kwlist, &width))
-        return -1;
-    q->seq = 0;
-    q->removed = 0;
-    q->cancelled = 0;
-    q->seq_mark = 0;
-    q->cur_id = -1;
-    q->acts = 0;
-    q->width = width;
-    q->inv = 1.0 / width;
-    q->head = 0;
-    if (q->map.slots == NULL) {
-        if (bmap_init(&q->map, 64) < 0)
-            return -1;
-    }
-    return 0;
-}
-
-static PyMethodDef ccal_methods[] = {
-    {"push", (PyCFunction)(void (*)(void))ccal_push, METH_FASTCALL, NULL},
-    {"pop_min", (PyCFunction)ccal_pop_min, METH_NOARGS, NULL},
-    {"peek_time", (PyCFunction)ccal_peek_time, METH_NOARGS, NULL},
-    {"abandon", (PyCFunction)ccal_abandon, METH_NOARGS, NULL},
-    {"drain_all", (PyCFunction)ccal_drain_all, METH_O, NULL},
-    {"drain_until", (PyCFunction)(void (*)(void))ccal_drain_until,
-     METH_FASTCALL, NULL},
-    {NULL, NULL, 0, NULL},
-};
-
-static PyGetSetDef ccal_getset[] = {
-    {"seq", (getter)ccal_get_seq, NULL, NULL, NULL},
-    {"kind", (getter)ccal_get_kind, NULL, NULL, NULL},
-    {"width", (getter)ccal_get_width, NULL, NULL, NULL},
-    {"active_buckets", (getter)ccal_get_active_buckets, NULL, NULL, NULL},
-    {NULL, NULL, NULL, NULL, NULL},
-};
-
-static PySequenceMethods ccal_as_sequence = {
-    .sq_length = (lenfunc)ccal_sq_len,
-};
-
-static PyTypeObject CCalType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.sim._ckern.CCalendarQueue",
-    .tp_basicsize = sizeof(CCal),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Compiled calendar/bucket event queue "
-              "(CalendarEventQueue twin).",
-    .tp_methods = ccal_methods,
-    .tp_getset = ccal_getset,
-    .tp_as_sequence = &ccal_as_sequence,
-    .tp_traverse = (traverseproc)ccal_traverse,
-    .tp_clear = (inquiry)ccal_clear_gc,
-    .tp_dealloc = (destructor)ccal_dealloc,
-    .tp_init = (initproc)ccal_init,
-    .tp_new = PyType_GenericNew,
-};
-
 /* Route a push through sim._push without the call overhead when the
  * target is one of ours.  wobj may be NULL (boxed lazily). */
 static int
@@ -1523,9 +625,6 @@ push_via_sim(PyObject *sim, double when, PyObject *wobj,
             PyTypeObject *t = Py_TYPE(s);
             if (t == &CHeapType)
                 return cheap_push_c((CHeap *)s, when, ev, val);
-            if (t == &CCalType)
-                return ccal_push_c((CCal *)s, when, ev,
-                                   val ? val : Py_None);
         }
     }
     PyObject *w = wobj;
@@ -2252,8 +1351,7 @@ static struct PyModuleDef ckern_module = {
 PyMODINIT_FUNC
 PyInit__ckern(void)
 {
-    if (PyType_Ready(&CHeapType) < 0
-        || PyType_Ready(&CCalType) < 0)
+    if (PyType_Ready(&CHeapType) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&ckern_module);
     if (m == NULL)
@@ -2261,13 +1359,6 @@ PyInit__ckern(void)
     Py_INCREF(&CHeapType);
     if (PyModule_AddObject(m, "CHeapQueue", (PyObject *)&CHeapType) < 0) {
         Py_DECREF(&CHeapType);
-        Py_DECREF(m);
-        return NULL;
-    }
-    Py_INCREF(&CCalType);
-    if (PyModule_AddObject(m, "CCalendarQueue",
-                           (PyObject *)&CCalType) < 0) {
-        Py_DECREF(&CCalType);
         Py_DECREF(m);
         return NULL;
     }

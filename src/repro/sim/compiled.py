@@ -2,8 +2,8 @@
 
 The extension module :mod:`repro.sim._ckern` (hand-written CPython C
 API; see ``setup.py``) reimplements the scheduler hot loop — event
-dispatch, ``Timeout``, process resume, both :mod:`repro.sim.equeue`
-queues, and the ``Request``/``Response`` constructors behind the
+dispatch, ``Timeout``, process resume, the :mod:`repro.sim.equeue`
+heap, and the ``Request``/``Response`` constructors behind the
 :mod:`repro.core.messages` free-lists — as a line-for-line
 transliteration of the pure-Python code.  This module is
 the switch:
@@ -14,6 +14,9 @@ the switch:
   if it is not importable.
 * ``REPRO_COMPILED=off``: pure Python, even when the extension exists.
 
+Any other value raises :class:`ValueError`: a mistyped leg must not
+silently run (and label an A/B or a trajectory entry as) another one.
+
 Selection is re-evaluated at every ``Simulator()`` construction
 (:func:`ensure_leg`), which is what makes the same-process
 ``perf --ab-compiled`` harness possible: activation installs the
@@ -23,8 +26,8 @@ compiled methods on the pure-Python classes (via the extension's
 The pure-Python classes remain the single source of truth for object
 layout — the extension reads their ``__slots__`` offsets at bind time
 and drives the same objects, so the legs cannot disagree structurally
-and the golden digests (byte-identical simulated results) gate every
-compiled × queue combination.
+and the golden digests (byte-identical simulated results) gate both
+legs.
 """
 
 import os
@@ -53,9 +56,14 @@ _ORIG: Dict[str, Tuple[type, str, Any]] = {}
 
 def selected_compiled() -> str:
     """The ``REPRO_COMPILED`` leg a ``Simulator()`` built right now
-    would request (before availability is considered)."""
-    kind = os.environ.get("REPRO_COMPILED", DEFAULT_COMPILED).lower()
-    return kind if kind in COMPILED_KINDS else DEFAULT_COMPILED
+    would request (before availability is considered).  Raises
+    :class:`ValueError` on a value outside ``auto``/``on``/``off``."""
+    value = os.environ.get("REPRO_COMPILED", DEFAULT_COMPILED)
+    kind = value.lower()
+    if kind not in COMPILED_KINDS:
+        raise ValueError("REPRO_COMPILED=%r: expected one of %s"
+                         % (value, ", ".join(COMPILED_KINDS)))
+    return kind
 
 
 def compiled_available() -> bool:
@@ -83,8 +91,8 @@ def compiled_active() -> bool:
 
 def active_kernel() -> Optional[Any]:
     """The extension module when the compiled leg is active, else
-    ``None`` (how :func:`repro.sim.equeue.make_queue` and
-    ``Simulator.__init__`` pick their compiled counterparts)."""
+    ``None`` (how :func:`repro.sim.equeue.make_queue` picks the
+    compiled heap)."""
     return _kern if _active else None
 
 

@@ -22,20 +22,17 @@ observability — a per-event hook exists (:meth:`Simulator.set_event_hook`)
 but is checked once per ``run`` call, never inside the loop, so disabled
 observability is zero-overhead.
 
-The scheduler data structure itself is pluggable (``repro.sim.equeue``):
-every scheduling site funnels through ``Simulator._push`` — the bound
-``push`` of an :class:`~repro.sim.equeue.EventQueue` — so the engine
-runs on either the calendar/bucket queue (default) or the binary-heap
-fallback (``REPRO_QUEUE=heap``) with byte-identical simulated results.
+The scheduler is one binary heap (``repro.sim.equeue``): every
+scheduling site funnels through ``Simulator._push`` — the bound ``push``
+of the queue, which assigns sequence numbers and owns the entry layout.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, List, Optional, Union
+from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from .equeue import (  # noqa: F401  (_COMPACT_MIN_CANCELLED re-exported)
     _COMPACT_MIN_CANCELLED,
-    EventQueue,
     make_queue,
 )
 from .compiled import ensure_leg
@@ -479,19 +476,14 @@ class Simulator:
     # the set is closed.
     __slots__ = ("_now", "_q", "_push", "_processes_spawned", "_hook")
 
-    def __init__(self, queue: Union[str, EventQueue, None] = None):
+    def __init__(self):
         self._now = 0.0
         # Compiled-leg selection happens per construction (REPRO_COMPILED,
         # see repro.sim.compiled): ensure_leg() installs or removes the
         # compiled method patches to match the environment, and
-        # make_queue below picks the compiled queue twins when active.
+        # make_queue below picks the compiled heap twin when active.
         ensure_leg()
-        # The scheduler structure is pluggable (docs/PERFORMANCE.md):
-        # "calendar" (default) or "heap", selected per instance, via the
-        # REPRO_QUEUE environment variable, or by passing an EventQueue.
-        if queue is None or isinstance(queue, str):
-            queue = make_queue(queue)
-        self._q = queue
+        self._q = queue = make_queue()
         # Every scheduling path funnels through this one bound method —
         # the queue assigns seq numbers and owns the entry layout.
         self._push = queue.push
@@ -502,11 +494,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in microseconds."""
         return self._now
-
-    @property
-    def queue_kind(self) -> str:
-        """Name of the scheduler implementation ("heap"/"calendar")."""
-        return self._q.kind
 
     @property
     def pending_events(self) -> int:

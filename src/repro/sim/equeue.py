@@ -1,190 +1,76 @@
-"""Pluggable event-queue implementations for the simulation engine.
+"""The simulation engine's event queue.
 
 The scheduler data structure is the engine-side bottleneck once dispatch
 is inlined (see ``docs/PERFORMANCE.md``): every scheduled event pays one
-push and one pop, so at millions of events per run the queue's per-op
-constant — and its behaviour under large standing populations of far
-timers — dominates engine wall time.
+push and one pop.  :class:`HeapEventQueue` is a binary heap
+(``heapq``): O(log n) push/pop with C-implemented sift loops, robust
+under any timestamp distribution.  When the compiled leg is active
+(``REPRO_COMPILED``, see :mod:`repro.sim.compiled`) :func:`make_queue`
+returns the extension's twin, ``CHeapQueue``, instead — same pop order,
+same digest.
 
-Two implementations share one small protocol (:class:`EventQueue`):
-
-* :class:`HeapEventQueue` — the classic binary heap (``heapq``).
-  O(log n) push/pop with C-implemented sift loops.  Robust under any
-  timestamp distribution; this is the fallback for adversarial horizons
-  and the A/B reference.
-
-* :class:`CalendarEventQueue` — a calendar/bucket queue tuned for the
-  clustered event horizons this simulator actually produces (NIC core
-  ticks, link serialization, DMA completions all land within narrow
-  bands of ``now``).  Push is O(1): drop the entry into the bucket for
-  its time band.  Pop sorts one bucket at activation (C timsort over a
-  small list) and then pops in O(1).  Bucket widths are powers of two —
-  multiplying a non-negative float by a power of two only shifts the
-  exponent, so ``int(when * inv_width)`` is exact and monotone in
-  ``when`` and bucket order can never disagree with timestamp order —
-  and the width is re-derived from the live event distribution when
-  load-factor triggers fire (buckets too dense, or activations running
-  dry).
-
-Determinism contract (both implementations, pinned by
-``tests/test_golden_digest.py`` and ``tests/test_event_queue.py``):
+Determinism contract (pinned by ``tests/test_golden_digest.py`` and
+``tests/test_event_queue.py``):
 
 * pop order is strict ``(when, seq)`` order — equal-timestamp events
-  fire in FIFO scheduling order, including across bucket boundaries;
+  fire in FIFO scheduling order;
 * abandoned (cancelled) entries are deleted *lazily*: they stay queued,
-  are skipped when popped, and are bulk-compacted under exactly the same
-  trigger (``_COMPACT_MIN_CANCELLED`` cancelled entries that make up at
-  least half the queue) so both queues discard the same entries at the
-  same logical instants and the simulated clock — which stale pops
-  advance — stays byte-identical per seed.
-
-Selection: ``Simulator(queue="heap"|"calendar")``, or process-wide via
-the ``REPRO_QUEUE`` environment variable (read at Simulator
-construction; the default is ``calendar``).
+  are skipped when popped, and are bulk-compacted once
+  ``_COMPACT_MIN_CANCELLED`` cancelled entries make up at least half
+  the queue, at the same logical instants on both legs, so the
+  simulated clock — which stale pops advance — stays byte-identical
+  per seed.
 """
 
 from __future__ import annotations
 
-import os
-from bisect import insort
 from heapq import heapify, heappop, heappush
 from typing import Any, List, Optional, Tuple
 
 __all__ = [
-    "EventQueue",
     "HeapEventQueue",
-    "CalendarEventQueue",
     "make_queue",
     "selected_queue_kind",
-    "QUEUE_KINDS",
-    "DEFAULT_QUEUE",
     "_COMPACT_MIN_CANCELLED",
 ]
 
-# Entry tuples are (when, seq, event, value) for the heap and
-# (-when, -seq, event, value) for calendar buckets (negated keys make an
-# ascending-sorted list pop its *minimum* timestamp from the tail in
-# O(1)).  ``seq`` is unique, so comparisons never reach the event.
+# Entry tuples are (when, seq, event, value).  ``seq`` is unique, so
+# comparisons never reach the event.
 Entry = Tuple[float, int, Any, Any]
 
-# Lazy-deletion compaction trigger, shared by both implementations: once
-# at least this many cancelled entries sit in the queue AND they make up
-# at least half of it, the structure is filtered in place.  High enough
-# that small simulations never compact (preserving their exact
-# final-clock behavior), low enough that AnyOf-heavy workloads stay
-# O(live events).  Changing this changes which stale entries survive to
-# advance the clock when popped — i.e. it is digest-visible.
+# Lazy-deletion compaction trigger: once at least this many cancelled
+# entries sit in the queue AND they make up at least half of it, the
+# heap is filtered in place.  High enough that small simulations never
+# compact (preserving their exact final-clock behavior), low enough that
+# AnyOf-heavy workloads stay O(live events).  Changing this changes
+# which stale entries survive to advance the clock when popped — i.e.
+# it is digest-visible.
 _COMPACT_MIN_CANCELLED = 64
-
-DEFAULT_QUEUE = "calendar"
-QUEUE_KINDS = ("heap", "calendar")
 
 
 def selected_queue_kind() -> str:
-    """The implementation a ``Simulator()`` built right now would use."""
-    kind = os.environ.get("REPRO_QUEUE", DEFAULT_QUEUE)
-    return kind if kind in QUEUE_KINDS else DEFAULT_QUEUE
+    """The event queue of this build: always ``"heap"``.  Exists only so
+    the benchmark's provenance line, which records the engine leg of
+    every run, keeps importing it."""
+    return "heap"
 
 
-def make_queue(kind: Optional[str] = None) -> "EventQueue":
-    """Build an event queue by name (``heap`` / ``calendar``); ``None``
-    resolves through ``REPRO_QUEUE`` with the calendar default.
-
-    When the compiled leg is active (``REPRO_COMPILED``, see
-    :mod:`repro.sim.compiled`) the extension's queue twins are returned
-    instead — same ``kind`` names, same pop order, same digest."""
-    if kind is None:
-        kind = selected_queue_kind()
+def make_queue():
+    """A fresh event queue: the compiled ``CHeapQueue`` when the
+    compiled leg is active, else :class:`HeapEventQueue`."""
     from .compiled import active_kernel  # lazy: avoids an import cycle
     kern = active_kernel()
-    if kind == "heap":
-        return kern.CHeapQueue() if kern is not None else HeapEventQueue()
-    if kind == "calendar":
-        return (kern.CCalendarQueue() if kern is not None
-                else CalendarEventQueue())
-    raise ValueError("unknown event queue %r (have: %s)"
-                     % (kind, ", ".join(QUEUE_KINDS)))
+    return kern.CHeapQueue() if kern is not None else HeapEventQueue()
 
 
-class EventQueue:
-    """Protocol + generic drain loops for scheduler implementations.
-
-    Subclasses must implement ``push``, ``pop_min``, ``peek_time``,
-    ``abandon`` and ``__len__``; the built-in implementations also
-    override :meth:`drain_all` / :meth:`drain_until` with inlined loops
-    (the generic versions here go through ``pop_min`` per event and are
-    correct for any conforming implementation).
+class HeapEventQueue:
+    """Binary-heap scheduler (``heapq``), with lazy deletion + in-place
+    compaction.  O(log n) push/pop under any timestamp distribution.
 
     The queue owns the scheduling sequence number: ``push(when, event,
     value)`` assigns the next ``seq`` internally, so every scheduling
     path in the engine funnels through this one entry point.
     """
-
-    kind = "abstract"
-
-    seq = 0  # total entries ever pushed (the events/second numerator)
-
-    def push(self, when: float, event: Any, value: Any) -> None:
-        raise NotImplementedError
-
-    def pop_min(self) -> Optional[Entry]:
-        """Remove and return the least ``(when, seq)`` entry (stale or
-        live), or ``None`` when empty."""
-        raise NotImplementedError
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the least entry (stale entries included), or
-        ``None`` when empty.  May reorganize internal structure but must
-        not change the pop sequence."""
-        raise NotImplementedError
-
-    def abandon(self) -> None:
-        """Note that one queued entry was cancelled; may trigger in-place
-        compaction of stale entries."""
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    # -- drain loops (generic; both built-ins override with inlined ones) --
-
-    def drain_all(self, sim) -> None:
-        """Pop and fire every entry; stale entries advance the clock and
-        are skipped, exactly like :meth:`Simulator.step`."""
-        pop = self.pop_min
-        while True:
-            entry = pop()
-            if entry is None:
-                return
-            sim._now = entry[0]
-            event = entry[2]
-            if event._ok is None:
-                event._ok = True
-                event._value = entry[3]
-                event._dispatch()
-
-    def drain_until(self, sim, until: float) -> None:
-        """Like :meth:`drain_all` but leave any entry past ``until``
-        queued; the clock never overruns ``until``."""
-        while True:
-            t = self.peek_time()
-            if t is None or t > until:
-                return
-            entry = self.pop_min()
-            sim._now = entry[0]
-            event = entry[2]
-            if event._ok is None:
-                event._ok = True
-                event._value = entry[3]
-                event._dispatch()
-
-
-class HeapEventQueue(EventQueue):
-    """Binary-heap scheduler (``heapq``), with lazy deletion + in-place
-    compaction.  O(log n) push/pop; the safe choice for adversarial
-    timestamp distributions and the reference side of the A/B bench."""
-
-    kind = "heap"
 
     __slots__ = ("seq", "_heap", "_cancelled")
 
@@ -198,16 +84,22 @@ class HeapEventQueue(EventQueue):
         heappush(self._heap, (when, seq, event, value))
 
     def pop_min(self) -> Optional[Entry]:
+        """Remove and return the least ``(when, seq)`` entry (stale or
+        live), or ``None`` when empty."""
         if self._heap:
             return heappop(self._heap)
         return None
 
     def peek_time(self) -> Optional[float]:
+        """Timestamp of the least entry (stale entries included), or
+        ``None`` when empty."""
         if self._heap:
             return self._heap[0][0]
         return None
 
     def abandon(self) -> None:
+        """Note that one queued entry was cancelled; may trigger in-place
+        compaction of stale entries."""
         self._cancelled += 1
         heap = self._heap
         if (self._cancelled >= _COMPACT_MIN_CANCELLED
@@ -224,6 +116,8 @@ class HeapEventQueue(EventQueue):
     # -- inlined drain loops ----------------------------------------------
 
     def drain_all(self, sim) -> None:
+        """Pop and fire every entry; stale entries advance the clock and
+        are skipped, exactly like :meth:`Simulator.step`."""
         queue = self._heap
         pop = heappop
         while queue:
@@ -247,6 +141,8 @@ class HeapEventQueue(EventQueue):
                         fn(event)
 
     def drain_until(self, sim, until: float) -> None:
+        """Like :meth:`drain_all` but leave any entry past ``until``
+        queued; the clock never overruns ``until``."""
         queue = self._heap
         pop = heappop
         while queue:
@@ -267,307 +163,3 @@ class HeapEventQueue(EventQueue):
                 if callbacks:
                     for fn in callbacks:
                         fn(event)
-
-
-# Calendar tuning knobs (see docs/PERFORMANCE.md, "Scheduler
-# architecture"): a bucket that sorts denser than _DENSE_BUCKET entries
-# at activation triggers a rebalance, as does a run of _SPARSE_ACTS
-# activations that consumed fewer than _SPARSE_PUSHES_PER_ACT pushes
-# each (the queue is paying dict/bucket overhead per event instead of
-# amortizing it across a band).  Rebalance re-derives the width from the
-# live span at a target load of _TARGET_LOAD entries per bucket — and
-# never below double the current width when the sparse trigger fired,
-# so a sequential churn with a tiny standing queue (span ~0) still
-# widens exponentially until activations are rare.  Widths are always
-# powers of two, so bucket ids stay exact and monotone.
-_DENSE_BUCKET = 96
-_SPARSE_ACTS = 32
-_SPARSE_PUSHES_PER_ACT = 16
-_TARGET_LOAD = 4.0
-_MIN_WIDTH = 2.0 ** -20
-_MAX_WIDTH = 2.0 ** 24
-_REBALANCE_MIN = 128  # span-derived resize needs a real population
-
-
-class CalendarEventQueue(EventQueue):
-    """Calendar/bucket scheduler for clustered event horizons.
-
-    Structure:
-
-    * ``_buckets``: dict mapping absolute bucket id ``int(when * inv)``
-      to an unsorted list of ``(-when, -seq, event, value)`` entries —
-      push is append, O(1);
-    * ``_bids``: a small heap of bucket ids with (possibly stale)
-      buckets — one heap op per *bucket*, not per event;
-    * ``_cur``: the activated bucket, sorted ascending by negated key so
-      ``list.pop()`` yields the minimum ``(when, seq)`` in O(1).  Pushes
-      that land at or before the activated band go through ``insort``
-      (C bisect) so ordering holds even when a callback schedules into
-      the band being drained.
-
-    Width is a power of two: ``when * inv_width`` only shifts the float
-    exponent, so bucket ids are exact and monotone in ``when`` — the
-    global pop order is strict ``(when, seq)``, byte-identical to the
-    heap's.
-    """
-
-    kind = "calendar"
-
-    __slots__ = ("seq", "_buckets", "_bids", "_cur", "_cur_id", "_width",
-                 "_inv", "_removed", "_cancelled", "_acts", "_seq_mark")
-
-    def __init__(self, width: float = 1.0):
-        self.seq = 0
-        self._width = width
-        self._inv = 1.0 / width
-        self._buckets = {}          # bid -> unsorted [(-when,-seq,ev,val)]
-        self._bids: List[int] = []  # heap of bucket ids
-        self._cur: List[Entry] = []  # activated bucket, sorted, pop()=min
-        self._cur_id = -1           # bids <= _cur_id route into _cur
-        # Population is derived, not counted on push: len() == seq -
-        # _removed, so the push fast path touches one counter, not two.
-        self._removed = 0           # entries popped or compacted away
-        self._cancelled = 0
-        self._acts = 0              # activations since last trigger check
-        self._seq_mark = 0          # seq watermark for the sparse trigger
-
-    # -- protocol ---------------------------------------------------------
-
-    def push(self, when: float, event: Any, value: Any) -> None:
-        self.seq = seq = self.seq + 1
-        bid = int(when * self._inv)
-        if bid <= self._cur_id:
-            insort(self._cur, (-when, -seq, event, value))
-        else:
-            buckets = self._buckets
-            b = buckets.get(bid)
-            if b is None:
-                buckets[bid] = [(-when, -seq, event, value)]
-                heappush(self._bids, bid)
-            else:
-                b.append((-when, -seq, event, value))
-
-    def pop_min(self) -> Optional[Entry]:
-        cur = self._cur
-        while not cur:
-            if not self._advance():
-                return None
-            cur = self._cur
-        nw, ns, event, value = cur.pop()
-        self._removed += 1
-        return (-nw, -ns, event, value)
-
-    def peek_time(self) -> Optional[float]:
-        cur = self._cur
-        while not cur:
-            if not self._advance():
-                return None
-            cur = self._cur
-        return -cur[-1][0]
-
-    def abandon(self) -> None:
-        self._cancelled += 1
-        if (self._cancelled >= _COMPACT_MIN_CANCELLED
-                and 2 * self._cancelled >= self.seq - self._removed):
-            self._compact()
-
-    def __len__(self) -> int:
-        return self.seq - self._removed
-
-    # -- introspection (docs/tests/benches) -------------------------------
-
-    @property
-    def width(self) -> float:
-        """Current bucket width in simulated microseconds."""
-        return self._width
-
-    @property
-    def active_buckets(self) -> int:
-        return len(self._buckets) + (1 if self._cur else 0)
-
-    # -- internals --------------------------------------------------------
-
-    def _advance(self) -> bool:
-        """Activate the next non-empty bucket into ``_cur``; returns
-        False when the queue is drained.  Load-factor triggers fire here
-        (and only here), so push/pop stay trigger-free."""
-        buckets = self._buckets
-        bids = self._bids
-        # First activation after construction or a rebalance: a
-        # pre-loaded population at nearly one bucket per event would pay
-        # per-bucket overhead on every pop — fix the width up front.
-        n = self.seq - self._removed
-        if (self._cur_id == -1 and n >= _REBALANCE_MIN
-                and 2 * len(buckets) >= n and self._rebalance()):
-            buckets = self._buckets
-            bids = self._bids
-        while bids:
-            bid = heappop(bids)
-            b = buckets.pop(bid, None)
-            if b is None:
-                continue  # stale id (compaction emptied the bucket)
-            self._acts += 1
-            probed = False
-            if self._acts >= _SPARSE_ACTS:
-                # Too few pushes per activation means the queue is
-                # paying bucket overhead per event: widen (at least 2x).
-                pushes = self.seq - self._seq_mark
-                self._acts = 0
-                self._seq_mark = self.seq
-                if pushes < _SPARSE_PUSHES_PER_ACT * _SPARSE_ACTS:
-                    probed = True
-                    if self._rebalance(b, floor=2.0 * self._width):
-                        buckets = self._buckets
-                        bids = self._bids
-                        continue
-            if (not probed and len(b) > _DENSE_BUCKET
-                    and self._rebalance(b)):
-                buckets = self._buckets
-                bids = self._bids
-                continue
-            b.sort()
-            self._cur = b
-            self._cur_id = bid
-            return True
-        return False
-
-    def _rebalance(self, extra: Optional[List[Entry]] = None,
-                   floor: Optional[float] = None) -> bool:
-        """Re-derive the bucket width from the live entry distribution
-        (span at a target load of ``_TARGET_LOAD`` entries per bucket,
-        rounded to a power of two, and at least ``floor`` when the
-        sparse trigger is widening) and re-bucket everything, including
-        the in-flight ``extra`` bucket a trigger may hand over.  Returns
-        False — mutating nothing — when the width would not change, so
-        callers fall back to the current geometry (and keep ownership of
-        ``extra``)."""
-        n = self.seq - self._removed
-        if n < 1:
-            return False
-        # Cheap span probe (bucket-id granularity for the dict side, so
-        # a declined rebalance never gathers all entries; exact for the
-        # small in-flight/current lists, whose entries carry negated
-        # keys: index -1 holds the minimum `when`).
-        buckets = self._buckets
-        lo = hi = None
-        if buckets:
-            w = self._width
-            lo = min(buckets) * w
-            hi = (max(buckets) + 1.0) * w
-        for part in (extra, self._cur):
-            if part:
-                part_lo = -part[-1][0] if part is self._cur else -max(part)[0]
-                part_hi = -part[0][0] if part is self._cur else -min(part)[0]
-                lo = part_lo if lo is None else min(lo, part_lo)
-                hi = part_hi if hi is None else max(hi, part_hi)
-        target = 0.0
-        if lo is not None:
-            span = hi - lo
-            if span > 0.0:
-                target = span / max(8.0, n / _TARGET_LOAD)
-        if floor is not None and floor > target:
-            target = floor
-        if target <= 0.0:
-            return False
-        width = _MIN_WIDTH
-        while width < target and width < _MAX_WIDTH:
-            width *= 2.0
-        if width == self._width:
-            return False
-        entries: List[Entry] = list(self._cur)
-        if extra:
-            entries.extend(extra)
-        for b in buckets.values():
-            entries.extend(b)
-        self._width = width
-        self._inv = inv = 1.0 / width
-        buckets = self._buckets = {}
-        for e in entries:
-            bid = int(-e[0] * inv)
-            b = buckets.get(bid)
-            if b is None:
-                buckets[bid] = [e]
-            else:
-                b.append(e)
-        self._bids = list(buckets)
-        heapify(self._bids)
-        self._cur = []
-        self._cur_id = -1
-        self._acts = 0
-        self._seq_mark = self.seq
-        return True
-
-    def _compact(self) -> None:
-        """Drop every already-triggered (cancelled/stale) entry, in
-        place: drain loops alias ``_cur``, so its identity survives."""
-        cur = self._cur
-        cur[:] = [e for e in cur if e[2]._ok is None]
-        n = len(cur)
-        buckets = self._buckets
-        for bid in list(buckets):
-            b = buckets[bid]
-            b[:] = [e for e in b if e[2]._ok is None]
-            if b:
-                n += len(b)
-            else:
-                del buckets[bid]  # its id goes stale in _bids; _advance skips
-        self._removed = self.seq - n
-        self._cancelled = 0
-
-    # -- inlined drain loops ----------------------------------------------
-
-    def drain_all(self, sim) -> None:
-        while True:
-            cur = self._cur
-            while cur:
-                nw, _ns, event, value = cur.pop()
-                self._removed += 1
-                sim._now = -nw
-                if event._ok is None:
-                    event._ok = True
-                    event._value = value
-                    cb0 = event._cb0
-                    callbacks = event._callbacks
-                    if cb0 is not None:
-                        event._cb0 = None
-                        event._callbacks = None
-                        cb0(event)
-                        if callbacks:
-                            for fn in callbacks:
-                                fn(event)
-                    elif callbacks:
-                        event._callbacks = None
-                        for fn in callbacks:
-                            fn(event)
-            if not self._advance():
-                return
-
-    def drain_until(self, sim, until: float) -> None:
-        while True:
-            cur = self._cur
-            while cur:
-                nw, ns, event, value = cur.pop()
-                when = -nw
-                if when > until:
-                    cur.append((nw, ns, event, value))  # restore the head
-                    return
-                self._removed += 1
-                sim._now = when
-                if event._ok is None:
-                    event._ok = True
-                    event._value = value
-                    cb0 = event._cb0
-                    callbacks = event._callbacks
-                    if cb0 is not None:
-                        event._cb0 = None
-                        event._callbacks = None
-                        cb0(event)
-                        if callbacks:
-                            for fn in callbacks:
-                                fn(event)
-                    elif callbacks:
-                        event._callbacks = None
-                        for fn in callbacks:
-                            fn(event)
-            if not self._advance():
-                return

@@ -2,7 +2,7 @@
 
 Covers the selection contract (auto/on/off, invalid values, the
 ``on``-without-extension error), the same-process flip the
-``perf --ab-compiled`` harness relies on, the compiled queue twins
+``perf --ab-compiled`` harness relies on, the compiled heap twin
 behind ``make_queue``, and — most importantly — behavioural identity:
 the compiled methods must produce the same simulated results, the same
 exceptions, and the same counters as the pure-Python originals.
@@ -11,6 +11,8 @@ Everything guarded by ``needs_ckern`` is skipped when the extension is
 not built (the pure-Python fallback leg); the selection tests run
 everywhere.
 """
+
+import os
 
 import pytest
 
@@ -25,7 +27,7 @@ from repro.sim.compiled import (
 )
 from repro.sim.core import (AnyOf, Event, SimulationError, Simulator,
                             Timeout)
-from repro.sim.equeue import make_queue
+from repro.sim.equeue import HeapEventQueue, make_queue
 
 needs_ckern = pytest.mark.skipif(
     not compiled_available(),
@@ -53,14 +55,24 @@ def leg(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_selected_compiled_env(leg):
+def test_selected_compiled_env(leg, monkeypatch):
     for kind in COMPILED_KINDS:
         leg(kind)
         assert selected_compiled() == kind
     leg("ON")  # case-insensitive
     assert selected_compiled() == "on"
-    leg("not-a-leg")
+    monkeypatch.delenv("REPRO_COMPILED")
     assert selected_compiled() == DEFAULT_COMPILED
+
+
+def test_selected_compiled_rejects_unknown_value(leg):
+    # A mistyped leg must not silently run (and label its results as)
+    # another one: "of" would otherwise have meant "auto".
+    leg("of")
+    with pytest.raises(ValueError, match=r"'of'.*auto, on, off"):
+        selected_compiled()
+    with pytest.raises(ValueError, match="REPRO_COMPILED"):
+        Simulator()
 
 
 def test_off_leg_is_pure_python(leg):
@@ -116,12 +128,14 @@ def test_on_leg_activates_and_flips_back(leg):
 
 @needs_ckern
 def test_make_queue_returns_compiled_twins(leg):
+    from repro.sim import _ckern
+
     leg("on")
     Simulator()
-    heap, cal = make_queue("heap"), make_queue("calendar")
-    assert heap.kind == "heap" and cal.kind == "calendar"
-    assert type(heap).__module__ == "repro.sim._ckern"
-    assert type(cal).__module__ == "repro.sim._ckern"
+    assert type(make_queue()) is _ckern.CHeapQueue
+    leg("off")
+    Simulator()
+    assert type(make_queue()) is HeapEventQueue
 
 
 @needs_ckern
@@ -155,10 +169,10 @@ def test_compiled_non_event_yield_fails_process(leg):
 # ---------------------------------------------------------------------------
 
 
-def _trace(queue_kind):
+def _trace():
     """A small but busy workload: timeouts, AnyOf cancellation storms,
     process chaining, timeout callbacks — every compiled fast path fires."""
-    sim = Simulator(queue=queue_kind)
+    sim = Simulator()
     log = []
 
     def racer(tag):
@@ -186,12 +200,11 @@ def _trace(queue_kind):
 
 
 @needs_ckern
-@pytest.mark.parametrize("queue_kind", ["heap", "calendar"])
-def test_trace_identical_across_legs(leg, queue_kind):
+def test_trace_identical_across_legs(leg):
     leg("off")
-    off = _trace(queue_kind)
+    off = _trace()
     leg("on")
-    on = _trace(queue_kind)
+    on = _trace()
     assert off == on
 
 
@@ -218,3 +231,28 @@ def test_message_defaults_identical(leg):
     Simulator()
     on = probe()
     assert off == on
+
+
+def test_compiled_ab_alternates_legs_per_repeat(monkeypatch):
+    # Neither leg may always run first: a block of one leg followed by a
+    # block of the other hands the second a warmer process.
+    from repro.bench import perf
+
+    calls = []
+    walls = iter([3.0, 2.0, 1.0, 4.0, 5.0, 6.0])
+
+    def fake_run_perf(quick, repeats, benches):
+        assert repeats == 1
+        calls.append((benches[0], os.environ["REPRO_COMPILED"]))
+        return {benches[0]: {"wall_s": next(walls), "events": 1,
+                             "events_per_sec": 1.0}}
+
+    monkeypatch.setattr(perf, "compiled_available", lambda: True)
+    monkeypatch.setattr(perf, "run_perf", fake_run_perf)
+    monkeypatch.setenv("REPRO_COMPILED", "auto")
+    ab = perf.run_compiled_ab(repeats=3, benches=["timeout_churn"])
+    assert [leg for _b, leg in calls] == ["off", "on", "on", "off",
+                                          "off", "on"]
+    assert ab["off"]["timeout_churn"]["wall_s"] == 3.0  # min(3, 4, 5)
+    assert ab["on"]["timeout_churn"]["wall_s"] == 1.0   # min(2, 1, 6)
+    assert os.environ["REPRO_COMPILED"] == "auto"

@@ -1,9 +1,9 @@
-"""Scheduler edge cases, exercised identically on both event-queue
-implementations (PR 6): the pluggable-queue contract says pop order,
-stale-entry handling, and the simulated clock are byte-identical between
-the heap and the calendar queue, so every test here is parametrized over
-both ``Simulator(queue=...)`` kinds and several also assert cross-impl
-identity directly.
+"""Scheduler edge cases on the engine's one event queue (a binary heap,
+``repro.sim.equeue``): pop order, stale-entry handling and the
+simulated clock are digest-visible, so each edge case is pinned here,
+and a property test checks random op streams against the ordering
+contract itself (and, when the extension is built, against the
+compiled twin).
 """
 
 import os
@@ -12,56 +12,7 @@ import pytest
 
 from repro.sim import Simulator, Timeout
 from repro.sim.core import AnyOf
-from repro.sim.equeue import (
-    _COMPACT_MIN_CANCELLED,
-    CalendarEventQueue,
-    DEFAULT_QUEUE,
-    HeapEventQueue,
-    make_queue,
-    selected_queue_kind,
-)
-
-KINDS = ["heap", "calendar"]
-
-
-# ---------------------------------------------------------------------------
-# selection / construction
-# ---------------------------------------------------------------------------
-
-
-def test_make_queue_by_name():
-    # With the compiled leg active (REPRO_COMPILED, PR 10) make_queue
-    # returns the extension's queue twins; the contract is the kind
-    # name plus the EventQueue protocol, not the concrete class.
-    from repro.sim.compiled import compiled_active
-
-    heap, cal = make_queue("heap"), make_queue("calendar")
-    assert heap.kind == "heap" and cal.kind == "calendar"
-    if not compiled_active():
-        assert isinstance(heap, HeapEventQueue)
-        assert isinstance(cal, CalendarEventQueue)
-    with pytest.raises(ValueError):
-        make_queue("splay")
-
-
-def test_simulator_accepts_kind_string_and_instance():
-    assert Simulator(queue="heap").queue_kind == "heap"
-    assert Simulator(queue="calendar").queue_kind == "calendar"
-    q = CalendarEventQueue()
-    sim = Simulator(queue=q)
-    assert sim.queue_kind == "calendar"
-    Timeout(sim, 1.0)
-    assert len(q) == 1
-
-
-def test_env_selection(monkeypatch):
-    monkeypatch.setenv("REPRO_QUEUE", "heap")
-    assert selected_queue_kind() == "heap"
-    assert Simulator().queue_kind == "heap"
-    monkeypatch.setenv("REPRO_QUEUE", "not-a-queue")
-    assert selected_queue_kind() == DEFAULT_QUEUE
-    monkeypatch.delenv("REPRO_QUEUE")
-    assert selected_queue_kind() == DEFAULT_QUEUE
+from repro.sim.equeue import _COMPACT_MIN_CANCELLED
 
 
 # ---------------------------------------------------------------------------
@@ -69,14 +20,13 @@ def test_env_selection(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_empty_queue_peek_time(kind):
-    q = make_queue(kind)
+def test_empty_queue_peek_time():
+    sim = Simulator()
+    q = sim._q
     assert q.peek_time() is None
     assert q.pop_min() is None
     assert len(q) == 0
     # Still empty (and still None) after a push/pop cycle.
-    sim = Simulator(queue=q)
     Timeout(sim, 5.0)
     assert q.peek_time() == 5.0
     sim.run()
@@ -85,13 +35,12 @@ def test_empty_queue_peek_time(kind):
 
 
 # ---------------------------------------------------------------------------
-# equal-timestamp FIFO ordering, including across bucket boundaries
+# equal-timestamp FIFO ordering
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_equal_timestamp_fifo(kind):
-    sim = Simulator(queue=kind)
+def test_equal_timestamp_fifo():
+    sim = Simulator()
     fired = []
     for i in range(50):
         Timeout(sim, 10.0).add_callback(lambda _e, i=i: fired.append(i))
@@ -99,11 +48,10 @@ def test_equal_timestamp_fifo(kind):
     assert fired == list(range(50))
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_fifo_across_bucket_boundaries(kind):
-    # Interleave schedule order across many distinct deadlines so bucket
-    # routing (calendar) must still produce global (when, seq) order.
-    sim = Simulator(queue=kind)
+def test_fifo_across_interleaved_deadlines():
+    # Interleave schedule order across many distinct deadlines: the pop
+    # order must still be global (when, seq) order.
+    sim = Simulator()
     fired = []
     lanes = [3.0, 3.5, 100.25, 7.0, 100.25, 0.5, 3.0]
     expect = []
@@ -116,28 +64,13 @@ def test_fifo_across_bucket_boundaries(kind):
     assert fired == expect
 
 
-def test_pop_order_identical_across_impls():
-    def trace(kind):
-        sim = Simulator(queue=kind)
-        out = []
-        delays = [(i * 37 % 19) + (0.5 if i % 3 else 0.0) for i in range(400)]
-        for i, d in enumerate(delays):
-            Timeout(sim, float(d)).add_callback(
-                lambda _e, i=i: out.append((sim.now, i)))
-        sim.run()
-        return out
-
-    assert trace("heap") == trace("calendar")
-
-
 # ---------------------------------------------------------------------------
 # run(until) boundary with stale/abandoned head entries
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_run_until_with_abandoned_head(kind):
-    sim = Simulator(queue=kind)
+def test_run_until_with_abandoned_head():
+    sim = Simulator()
     t_stale = Timeout(sim, 5.0)
     t_live = Timeout(sim, 30.0)
     fired = []
@@ -154,9 +87,8 @@ def test_run_until_with_abandoned_head(kind):
     assert sim.now == 40.0
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_run_until_leaves_live_head_past_boundary(kind):
-    sim = Simulator(queue=kind)
+def test_run_until_leaves_live_head_past_boundary():
+    sim = Simulator()
     fired = []
     Timeout(sim, 50.0).add_callback(lambda _e: fired.append(sim.now))
     sim.run(until=49.999)
@@ -170,12 +102,11 @@ def test_run_until_leaves_live_head_past_boundary(kind):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_abandon_then_reschedule_interleaved(kind):
+def test_abandon_then_reschedule_interleaved():
     """A process that repeatedly races a near winner against a far loser:
     every iteration cancels the far timeout and schedules fresh ones, so
     stale entries interleave with live ones throughout the queue."""
-    sim = Simulator(queue=kind)
+    sim = Simulator()
     won = []
 
     def racer():
@@ -190,9 +121,8 @@ def test_abandon_then_reschedule_interleaved(kind):
     assert sim.pending_events == 0  # full drain retires every stale entry
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_cancel_reschedule_same_horizon(kind):
-    sim = Simulator(queue=kind)
+def test_cancel_reschedule_same_horizon():
+    sim = Simulator()
     fired = []
     stale = [Timeout(sim, 10.0) for _ in range(2 * _COMPACT_MIN_CANCELLED)]
     for t in stale:
@@ -206,83 +136,51 @@ def test_cancel_reschedule_same_horizon(kind):
 
 
 def test_final_clock_identical_after_cancel_storm():
-    """Full-drain final clock is digest-visible: both impls must retire
-    the same stale entries at the same logical instants."""
+    """Full-drain final clock is digest-visible: stale entries are
+    retired lazily, so the drain ends on the last far deadline that
+    survived the last compaction, not on the last live event."""
+    sim = Simulator()
+    log = []
+    n = 200
 
-    def run(kind):
-        sim = Simulator(queue=kind)
-        log = []
+    def storm():
+        for i in range(n):
+            got = yield AnyOf(sim, [Timeout(sim, 0.5, value=i),
+                                    Timeout(sim, 500.0 + i, value=-i)])
+            log.append((sim.now, got[1]))
 
-        def storm():
-            for i in range(200):
-                got = yield AnyOf(sim, [Timeout(sim, 0.5, value=i),
-                                        Timeout(sim, 500.0 + i, value=-i)])
-                log.append((sim.now, got[1]))
-
-        sim.spawn(storm())
-        sim.run()
-        return log, sim.now, sim.events_scheduled
-
-    assert run("heap") == run("calendar")
-
-
-# ---------------------------------------------------------------------------
-# calendar internals: rebalance keeps order and population
-# ---------------------------------------------------------------------------
-
-
-def test_calendar_rebalance_preserves_order_and_len():
-    q = CalendarEventQueue(width=1.0)
-    sim = Simulator(queue=q)
-    fired = []
-    # Sparse far-flung population to force a first-activation rebalance.
-    n = 300
-    for i in range(n):
-        Timeout(sim, 1.0 + 97.0 * i).add_callback(
-            lambda _e, i=i: fired.append(i))
-    assert len(q) == n
+    sim.spawn(storm())
     sim.run()
-    assert fired == list(range(n))
-    assert q.width != 1.0  # the load-factor trigger actually fired
-    assert len(q) == 0
-
-
-def test_calendar_push_into_active_band():
-    q = CalendarEventQueue(width=8.0)
-    sim = Simulator(queue=q)
-    fired = []
-
-    def proc():
-        yield Timeout(sim, 1.0)
-        fired.append(sim.now)
-        # Schedule behind and ahead within the active band; both must
-        # fire in timestamp order even though the band is mid-drain.
-        Timeout(sim, 0.5).add_callback(lambda _e: fired.append(sim.now))
-        Timeout(sim, 2.0).add_callback(lambda _e: fired.append(sim.now))
-
-    sim.spawn(proc())
-    sim.run()
-    assert fired == [1.0, 1.5, 3.0]
+    assert log == [(0.5 * (i + 1), i) for i in range(n)]
+    # Compaction runs each time the cancelled far timers reach
+    # _COMPACT_MIN_CANCELLED (they then make up nearly all the queue),
+    # so the last n % 64 of them are left to pop.  The clock ends on
+    # the last one: scheduled at 0.5 * (n - 1), due 500 + (n - 1) later.
+    assert n % _COMPACT_MIN_CANCELLED > 0
+    assert sim.now == 0.5 * (n - 1) + 500.0 + (n - 1)
+    assert sim.pending_events == 0
 
 
 # ---------------------------------------------------------------------------
-# property test: random op streams, identical across every queue impl
+# property test: random op streams against the ordering contract
 # ---------------------------------------------------------------------------
 
 
-def _drive(queue_kind, compiled_leg, ops):
-    """Replay one random op stream on one (queue, compiled) variant and
-    return everything digest-visible: the fire/cancel log, the final
-    clock, and the scheduled-event counter."""
+def _drive(compiled_leg, ops):
+    """Replay one random op stream on one compiled leg and return
+    everything digest-visible — the fire/cancel log, the final clock,
+    and the scheduled-event counter — plus each timeout's deadline."""
     saved = os.environ.get("REPRO_COMPILED")
     os.environ["REPRO_COMPILED"] = compiled_leg
     try:
-        sim = Simulator(queue=queue_kind)
+        sim = Simulator()
         log = []
         handles = []
+        deadlines = []
         for op in ops:
             if op[0] == "push":
                 i = len(handles)
+                deadlines.append(sim.now + op[1])
                 t = Timeout(sim, op[1])
                 cb = lambda _e, i=i: log.append(("fire", i, sim.now))  # noqa: E731
                 t.add_callback(cb)
@@ -302,7 +200,7 @@ def _drive(queue_kind, compiled_leg, ops):
                 sim.run(until=sim.now + op[1])
                 log.append(("clock", sim.now))
         sim.run()
-        return log, sim.now, sim.events_scheduled
+        return (log, sim.now, sim.events_scheduled), deadlines
     finally:
         if saved is None:
             os.environ.pop("REPRO_COMPILED", None)
@@ -329,24 +227,22 @@ _ops = st.lists(
 @settings(max_examples=30, deadline=None)
 @given(ops=_ops)
 def test_random_streams_identical_across_impls(ops):
-    """Random push/cancel/run(until) streams must produce the identical
-    pop order, final clock, and event counter on the heap queue, the
-    calendar queue, and (when built) both compiled twins."""
+    """Random push/cancel/run(until) streams obey the ordering contract:
+    every timeout not cancelled fires exactly once, at its deadline, in
+    non-decreasing time and in push order at equal times.  When the
+    extension is built, the compiled twin produces the identical trace,
+    final clock and event counter."""
     from repro.sim.compiled import compiled_available
 
-    legs = ["off"] + (["on"] if compiled_available() else [])
-    traces = [_drive(kind, leg, ops) for kind in KINDS for leg in legs]
-    for t in traces[1:]:
-        assert t == traces[0]
-
-
-def test_queue_kind_metadata_roundtrip():
-    saved = os.environ.get("REPRO_QUEUE")
-    try:
-        os.environ["REPRO_QUEUE"] = "heap"
-        assert Simulator().queue_kind == "heap"
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_QUEUE", None)
-        else:
-            os.environ["REPRO_QUEUE"] = saved
+    trace, deadlines = _drive("off", ops)
+    log = trace[0]
+    fired = [(e[2], e[1]) for e in log if e[0] == "fire"]
+    cancelled = {e[1] for e in log if e[0] == "cancel" and e[2]}
+    assert fired == sorted(fired)  # (time, push order) order
+    assert [i for _w, i in fired] == sorted(
+        set(range(len(deadlines))) - cancelled,
+        key=lambda i: (deadlines[i], i))
+    for when, i in fired:
+        assert when == deadlines[i]
+    if compiled_available():
+        assert _drive("on", ops) == (trace, deadlines)
